@@ -26,11 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .classes import MobiusTarget
+from .classes import MobiusTarget, Verdict
 from .errors import ConvergenceError, DomainError, ParameterError
 from .hypergeom import HypergeomParams, f21
 from .quadrature import jacobi_rule_01
-from .classes import Verdict
 
 
 @dataclass(frozen=True)

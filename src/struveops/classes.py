@@ -12,7 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ParameterError
 from .operator import apply_s
@@ -132,40 +134,39 @@ def power_mu(w: complex, mu: float) -> complex:
     return cmath.exp(mu * cmath.log(w))
 
 
-def _shifted_horner(s: PowerSeries, z: complex) -> complex:
-    # Evaluates S f(z) / z, i.e. the series with the leading zero dropped.
-    acc = 0j
-    for c in reversed(s.coeffs[1:]):
-        acc = acc * z + c
-    return acc
+def expression_evaluator(cp: ClassParams, f: PowerSeries) -> Callable:
+    """Build the class functional once for repeated evaluation.
 
-
-def expression_evaluator(cp: ClassParams, f: PowerSeries) -> Callable[[complex], complex]:
-    """Build the pointwise class functional once for repeated evaluation.
-
-    Both operator images are computed a single time; the returned closure
+    Both operator images are computed a single time; the returned function
     evaluates
 
         e^(i alpha) { (1+lam) (z/S_{k+1}f)^mu
                       - lam (S_k f / S_{k+1} f) (z/S_{k+1}f)^mu }
 
     using the z-shifted series, which makes z = 0 regular with value
-    e^(i alpha) instead of a removable singularity.
+    e^(i alpha) instead of a removable singularity.  It accepts a scalar
+    (returning a complex) or an array of z (returning an array of the same
+    shape), and raises DomainError naming the first z, in input order, where
+    S_{k+1} f / z vanishes.
     """
-    s_lo = apply_s(cp.struve, f)
-    s_hi = apply_s(cp.struve.shifted(), f)
+    # Highest power first, constant term dropped: np.polyval then gives S f / z.
+    lo = np.array(apply_s(cp.struve, f).coeffs[:0:-1])
+    hi = np.array(apply_s(cp.struve.shifted(), f).coeffs[:0:-1])
     eia = complex(math.cos(cp.alpha), math.sin(cp.alpha))
     lam = cp.lam
     mu = cp.mu
 
-    def evaluate_at(z: complex) -> complex:
-        z = complex(z)
-        den = _shifted_horner(s_hi, z)
-        if abs(den) < 1e-12:
-            raise DomainError(f"S_(k+1) f vanishes at z = {z}")
-        num = _shifted_horner(s_lo, z)
-        pm = power_mu(1.0 / den, mu)
-        return eia * ((1.0 + lam) * pm - lam * (num / den) * pm)
+    def evaluate_at(z: complex | np.ndarray) -> complex | np.ndarray:
+        zs = np.asarray(z, dtype=complex)
+        with np.errstate(all="ignore"):
+            den = np.polyval(hi, zs)
+            vanishing = np.flatnonzero(np.abs(den) < 1e-12)
+            if vanishing.size:
+                raise DomainError(f"S_(k+1) f vanishes at z = {complex(zs.flat[vanishing[0]])}")
+            num = np.polyval(lo, zs)
+            pm = np.exp(mu * np.log(1.0 / den))
+            value = eia * ((1.0 + lam) * pm - lam * (num / den) * pm)
+        return complex(value) if zs.ndim == 0 else value
 
     return evaluate_at
 
@@ -185,25 +186,32 @@ def j_functional(cp: ClassParams, f: PowerSeries, z: complex) -> complex:
     return (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
 
 
-def mobius_image_check(target: MobiusTarget, w: complex) -> float:
+def mobius_image_check(target: MobiusTarget, w: complex | np.ndarray) -> float | np.ndarray:
     """Signed margin of ``w`` against the target image boundary.
 
     Disk targets: radius - |w - center|; half-plane: Re w - (1-A)/2.
-    Positive means interior.
+    Positive means interior.  An array of w gives an array of margins.
     """
-    w = complex(w)
+    if not isinstance(w, np.ndarray):
+        w = complex(w)
     if target.is_half_plane:
         return w.real - target.half_plane_edge
     return target.radius - abs(w - target.center)
 
 
-def iter_membership_samples(
+def membership_samples(
     cp: ClassParams,
     f: PowerSeries,
     radii: Sequence[float] = DEFAULT_RADII,
     points_per_circle: int = 720,
-) -> Iterator[tuple[complex, complex, float]]:
-    """Yield ``(z, J(z), margin)`` over the sampling circles."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the de-rotated functional: ``(z, J(z), margin)`` arrays.
+
+    Circle by circle, ``points_per_circle`` equally spaced points from angle 0.
+    The arguments are validated before anything is evaluated; a non-finite
+    J raises DomainError naming the first such z rather than yielding margins
+    no comparison can order.
+    """
     if not radii:
         raise ParameterError("need at least one sampling radius")
     if any(not 0.0 < r < 1.0 for r in radii):
@@ -212,36 +220,29 @@ def iter_membership_samples(
         raise ParameterError("sampling radii must be strictly ascending")
     if points_per_circle < 1:
         raise ParameterError("points_per_circle must be >= 1")
-    evaluate_at = expression_evaluator(cp, f)
-    sin_a = math.sin(cp.alpha)
-    cos_a = math.cos(cp.alpha)
     step = 2.0 * math.pi / points_per_circle
-    for r in radii:
-        for j in range(points_per_circle):
-            z = r * cmath.exp(1j * (step * j))
-            value = (evaluate_at(z) - 1j * sin_a) / cos_a
-            yield z, value, mobius_image_check(cp.target, value)
+    z = (np.asarray(radii, dtype=float)[:, None]
+         * np.exp(1j * (step * np.arange(points_per_circle)))).ravel()
+    with np.errstate(all="ignore"):
+        value = (expression_evaluator(cp, f)(z) - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
+        margin = mobius_image_check(cp.target, value)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        raise DomainError(f"membership functional is not finite at z = {complex(z[bad[0]])}")
+    return z, value, margin
 
 
-def verdict_from_margins(
-    samples: Iterator[tuple[complex, complex, float]],
-    tol: float = CONTAINMENT_TOL,
-) -> Verdict:
-    """Min-reduce sampled margins into a Verdict (order-independent)."""
-    worst = math.inf
-    worst_z: Optional[complex] = None
-    count = 0
-    for z, _, margin in samples:
-        count += 1
-        if margin < worst:
-            worst = margin
-            worst_z = z
+def verdict_from_samples(z: np.ndarray, margin: np.ndarray,
+                         tol: float = CONTAINMENT_TOL) -> Verdict:
+    """Min-reduce sampled margins; the first minimum is the witness."""
+    i = int(np.argmin(margin))
+    worst = float(margin[i])
     passed = worst >= -tol
     return Verdict(
         passed=passed,
         margin=worst,
-        witness_z=None if passed else worst_z,
-        samples_used=count,
+        witness_z=None if passed else complex(z[i]),
+        samples_used=int(margin.size),
     )
 
 
@@ -253,9 +254,8 @@ def membership_test(
     tol: float = CONTAINMENT_TOL,
 ) -> Verdict:
     """Sample the de-rotated functional on circles and check containment."""
-    return verdict_from_margins(
-        iter_membership_samples(cp, f, radii, points_per_circle), tol
-    )
+    z, _, margin = membership_samples(cp, f, radii, points_per_circle)
+    return verdict_from_samples(z, margin, tol)
 
 
 def lemma6_check(
@@ -306,7 +306,7 @@ def lemma3_check(
 ) -> Verdict:
     """Certify convex-combination containment on a shared sample set.
 
-    ``f_vals`` and ``g_vals`` are sampled values that must individially lie in
+    ``f_vals`` and ``g_vals`` are sampled values that must individually lie in
     the target image (violations are precondition errors, not verdicts); the
     verdict covers ``sigma*f + (1-sigma)*g``.  Convexity of the image makes
     this analytically guaranteed -- the check validates the sampling pipeline.

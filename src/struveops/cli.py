@@ -25,6 +25,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import sys
@@ -35,9 +37,9 @@ from .classes import (
     DEFAULT_RADII,
     ClassParams,
     MobiusTarget,
-    iter_membership_samples,
+    membership_samples,
     membership_test,
-    verdict_from_margins,
+    verdict_from_samples,
 )
 from .errors import NumericsError, ParameterError
 from .hypergeom import HypergeomParams, f21
@@ -163,7 +165,11 @@ def _load_coefficients(path: str) -> PowerSeries:
             data = json.load(fh)
         if not isinstance(data, list):
             raise ValueError("top-level JSON value must be an array")
-        return PowerSeries.from_pairs(data)
+        f = PowerSeries.from_pairs(data)
+        for n, c in enumerate(f.coeffs):  # json accepts NaN, Infinity and 1e999
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient at power {n}: {c}")
+        return f
     except (OSError, ValueError, TypeError, IndexError) as exc:
         raise UsageError(f"malformed coefficient file {path!r}: {exc}") from exc
 
@@ -186,16 +192,13 @@ def cmd_member(args: argparse.Namespace) -> int:
     )
     radii = args.radii if args.radii is not None else DEFAULT_RADII
     if args.dump:
-        samples = []
-        collected = []
-        for z, value, margin in iter_membership_samples(cp, f, radii, args.points):
-            samples.append((z, value, margin))
-            collected.append(f"{z.real!r},{z.imag!r},{value.real!r},{value.imag!r},{margin!r}")
+        z, value, margin = membership_samples(cp, f, radii, args.points)
+        columns = (z.real, z.imag, value.real, value.imag, margin)
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write("z_re,z_im,j_re,j_im,margin\n")
-            fh.write("\n".join(collected))
-            fh.write("\n")
-        verdict = verdict_from_margins(iter(samples))
+            for row in zip(*(col.tolist() for col in columns)):
+                fh.write(",".join(map(repr, row)) + "\n")
+        verdict = verdict_from_samples(z, margin)
     else:
         verdict = membership_test(cp, f, radii, args.points)
     _emit(verdict.to_json())
@@ -237,7 +240,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed == total else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="struveops",
         description="Evaluation, membership and verification for the "
@@ -259,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--order", type=int, default=64)
     p_eval.add_argument("--nodes", type=int, default=128)
     p_eval.add_argument("--tol", type=float, default=1e-13)
-    p_eval.set_defaults(run=cmd_eval)
 
     p_member = sub.add_parser("member", help="test class membership of a series")
     p_member.add_argument("--coeffs", required=True,
@@ -276,23 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_member.add_argument("--points", type=int, default=720)
     p_member.add_argument("--dump", default=None,
                           help="write sampled functional values as CSV")
-    p_member.set_defaults(run=cmd_member)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.set_defaults(run=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, so a rebound cmd_* is honoured by the cached parser.
+    run = {"eval": cmd_eval, "member": cmd_member, "verify": cmd_verify}[args.command]
     try:
-        return args.run(args)
+        return run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,22 +6,26 @@ import numpy as np
 import pytest
 
 from struveops import (
+    CONTAINMENT_TOL,
     ClassParams,
     DomainError,
     MobiusTarget,
     ParameterError,
     PowerSeries,
     StruveParams,
+    apply_s,
     class_expression,
     expression_evaluator,
-    iter_membership_samples,
     j_functional,
     lemma3_check,
     lemma6_check,
+    membership_samples,
     membership_test,
     mobius_image_check,
+    phi_series,
     power_mu,
 )
+from struveops.classes import verdict_from_samples
 
 HALF_PLANE = MobiusTarget(1.0, -1.0)
 REFERENCE = StruveParams(0.5, 1.0, 1.0)
@@ -230,8 +234,9 @@ class TestMembership:
     def test_half_plane_margin_matches_image_check(self):
         cp = make_cp(lam=complex(0.5, 0.5))
         f = PowerSeries((0, 1, 0.3, -0.2j))
-        samples = list(iter_membership_samples(cp, f, radii=(0.5,), points_per_circle=16))
-        for _, value, margin in samples:
+        _, values, margins = membership_samples(cp, f, radii=(0.5,), points_per_circle=16)
+        assert len(values) == len(margins) == 16
+        for value, margin in zip(values.tolist(), margins.tolist()):
             assert margin == mobius_image_check(cp.target, value)
             assert margin == value.real  # edge is 0 for (A, B) = (1, -1)
 
@@ -329,3 +334,169 @@ def test_verdict_json_shape():
     assert data["passed"] is True
     assert data["witness"] is None
     assert data["samples_used"] == 8
+
+
+def scalar_reference(cp, f, radii, points):
+    """Per-point Horner sampling of the de-rotated functional: ``[(z, margin)]``.
+
+    An independent scalar path (Python complex arithmetic, ``cmath``) for the
+    array implementation to agree with.
+    """
+
+    def shifted_horner(s, z):
+        acc = 0j
+        for c in reversed(s.coeffs[1:]):
+            acc = acc * z + c
+        return acc
+
+    s_lo = apply_s(cp.struve, f)
+    s_hi = apply_s(cp.struve.shifted(), f)
+    eia = complex(math.cos(cp.alpha), math.sin(cp.alpha))
+    step = 2.0 * math.pi / points
+    out = []
+    for r in radii:
+        for j in range(points):
+            z = r * cmath.exp(1j * (step * j))
+            den = shifted_horner(s_hi, z)
+            if abs(den) < 1e-12:
+                raise DomainError(f"S_(k+1) f vanishes at z = {z}")
+            pm = power_mu(1.0 / den, cp.mu)
+            value = eia * ((1.0 + cp.lam) * pm - cp.lam * (shifted_horner(s_lo, z) / den) * pm)
+            value = (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
+            out.append((z, mobius_image_check(cp.target, value)))
+    return out
+
+
+def seeded_case(seed, half_plane):
+    """A normalized series of order 8..64 and class parameters; the tail is
+    scaled so S_{k+1} f / z stays off zero while J may leave the target."""
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(8, 65))
+    sp = StruveParams(rng.uniform(-0.4, 2.0), 1.0, rng.uniform(-2.0, 2.0))
+    if half_plane:
+        target = MobiusTarget(rng.uniform(-0.8, 1.0), -1.0)
+    else:
+        B = rng.uniform(-0.9, 0.6)
+        target = MobiusTarget(rng.uniform(B + 0.1, 1.0), B)
+    raw = (rng.normal(size=order - 1) + 1j * rng.normal(size=order - 1)) / np.arange(2, order + 1) ** 1.5
+    kernel = np.array(phi_series(sp.shifted(), order).coeffs[2:])
+    raw *= rng.uniform(0.02, 0.9) / (np.abs(raw) * np.abs(kernel)).sum()
+    f = PowerSeries((0, 1, *raw.tolist()))
+    cp = ClassParams(
+        alpha=rng.uniform(-1.2, 1.2),
+        lam=complex(rng.uniform(-1.5, 2.5), rng.uniform(-0.5, 0.5)),
+        mu=rng.uniform(0.1, 0.9),
+        struve=sp,
+        target=target,
+    )
+    return cp, f
+
+
+class TestArrayEquivalence:
+    RADII = (0.2, 0.5, 0.8, 0.95)
+    POINTS = 90
+
+    @pytest.mark.parametrize("half_plane", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_reference(self, seed, half_plane):
+        cp, f = seeded_case(1000 + seed, half_plane)
+        ref = scalar_reference(cp, f, self.RADII, self.POINTS)
+        z, _, margins = membership_samples(cp, f, self.RADII, self.POINTS)
+        ref_z = np.array([s[0] for s in ref])
+        ref_margins = np.array([s[1] for s in ref])
+        assert np.array_equal(z, ref_z)
+        assert np.max(np.abs(margins - ref_margins)) <= 1e-12
+
+        verdict = membership_test(cp, f, self.RADII, self.POINTS)
+        assert verdict.samples_used == len(self.RADII) * self.POINTS
+        assert abs(verdict.margin - ref_margins.min()) <= 1e-12
+        assert verdict.passed == (verdict.margin >= -CONTAINMENT_TOL)
+        if verdict.passed:
+            assert verdict.witness_z is None
+        else:
+            first = int(np.flatnonzero(margins == margins.min())[0])
+            assert verdict.witness_z == z[first]
+            assert abs(ref_margins[first] - ref_margins.min()) <= 1e-12
+
+    def test_seeded_cases_cover_both_verdicts(self):
+        verdicts = [
+            membership_test(*seeded_case(1000 + seed, half), self.RADII, self.POINTS).passed
+            for seed in range(6) for half in (False, True)
+        ]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_witness_is_first_minimum(self):
+        z = np.array([0.1, 0.2j, -0.3, 0.4j, 0.5])
+        verdict = verdict_from_samples(z, np.array([0.3, -0.5, 0.1, -0.5, -0.5]))
+        assert not verdict.passed
+        assert verdict.margin == -0.5
+        assert verdict.witness_z == 0.2j
+        assert verdict.samples_used == 5
+
+    def test_scalar_input_returns_complex(self):
+        cp, f = seeded_case(7, False)
+        evaluate_at = expression_evaluator(cp, f)
+        z = complex(0.3, -0.4)
+        assert type(evaluate_at(z)) is complex
+        grid = np.array([[z, 0.1], [0.2j, -0.5]])
+        values = evaluate_at(grid)
+        assert values.shape == (2, 2)
+        assert abs(values[0, 0] - evaluate_at(z)) <= 1e-15
+
+    def test_vanishing_denominator_names_first_sample(self):
+        # S_{k+1} f / z = (1 - z/z1)(1 - z/z2) with both roots on the grid:
+        # z1 = 0.5i (index 18 of 72 on circle 0.5), z2 = -0.5 (index 36).
+        z1, z2 = 0.5j, -0.5
+        shifted = (1.0, -(1.0 / z1 + 1.0 / z2), 1.0 / (z1 * z2))
+        kernel = phi_series(REFERENCE.shifted(), 3).coeffs
+        f = PowerSeries((0, 1, shifted[1] / kernel[2], shifted[2] / kernel[3]))
+        cp = make_cp()
+        radii = (0.3, 0.5)
+        with pytest.raises(DomainError) as ref:
+            scalar_reference(cp, f, radii, 72)
+        with pytest.raises(DomainError) as got:
+            membership_samples(cp, f, radii, 72)
+        assert str(got.value) == str(ref.value)
+        expected = 0.5 * cmath.exp(1j * (2.0 * math.pi / 72 * 18))
+        assert str(got.value).endswith(f"z = {expected}")
+
+    @pytest.mark.parametrize(
+        "radii,points",
+        [((0.5, 0.4), 12), ((0.0, 0.5), 12), ((), 12), ((0.5, 1.0), 12), ((0.5,), 0)],
+    )
+    def test_bad_sampling_rejected_before_evaluation(self, monkeypatch, radii, points):
+        from struveops import classes
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the sampling was validated")
+
+        monkeypatch.setattr(classes, "expression_evaluator", fail)
+        monkeypatch.setattr(classes, "apply_s", fail)
+        with pytest.raises(ParameterError):
+            membership_samples(make_cp(), PowerSeries.identity(8), radii, points)
+
+
+class TestNonFinite:
+    def test_nan_coefficient_raises(self):
+        f = PowerSeries((0, 1, complex("nan")))
+        with pytest.raises(DomainError, match=r"not finite at z = \(0\.5\+0j\)"):
+            membership_test(make_cp(), f, radii=(0.5, 0.9), points_per_circle=12)
+
+    def test_overflow_names_first_non_finite_sample(self):
+        # S_k f / z = 1 + 1.2e308 (z + z^2): finite coefficients whose Horner
+        # sum overflows once Re z > 0.4975, first at z = 0.5 in sample order.
+        sp = StruveParams(0.5, 1.0, -40.0)
+        kernel = phi_series(sp, 3).coeffs
+        f = PowerSeries((0, 1, 1.2e308 / kernel[2], 1.2e308 / kernel[3]))
+        cp = make_cp(struve=sp)
+        radii = (0.3, 0.4, 0.5, 0.9)
+        _, values, _ = membership_samples(cp, f, radii[:2], 36)
+        assert np.isfinite(values).all()
+        with pytest.raises(DomainError, match=r"not finite at z = \(0\.5\+0j\)"):
+            membership_test(cp, f, radii=radii, points_per_circle=36)
+
+    def test_no_runtime_warning(self, recwarn):
+        f = PowerSeries((0, 1, complex("inf")))
+        with pytest.raises(DomainError):
+            membership_test(make_cp(), f, radii=(0.5,), points_per_circle=12)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from struveops import cli
 from struveops.cli import main, parse_complex
 
 
@@ -212,3 +213,82 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "nonsense"])
         assert excinfo.value.code == 2
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_rejected_as_usage_error(self, capsys, tmp_path, literal):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(f"[[0, 0], [1, 0], [{literal}, 0]]")
+        code, out, err = run_cli(capsys, "member", "--coeffs", str(path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite coefficient at power 2" in err
+
+    def test_non_finite_functional_is_numeric_error(self, capsys, tmp_path):
+        # Finite coefficients whose operator images overflow: J is not finite.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([[0, 0], [1, 0], [1e308, 0], [1e308, 0]]))
+        code, out, err = run_cli(capsys, "member", "--coeffs", str(path), "--c", "-40")
+        assert code == 3
+        assert out == ""
+        assert "[domain]" in err and "not finite" in err
+        assert "RuntimeWarning" not in err
+
+
+class TestParserCache:
+    ARGS = ("--radii", "0.4,0.8", "--points", "24")
+
+    def test_repeated_calls_identical(self, capsys, tmp_path):
+        path = identity_file(tmp_path)
+        _, first, _ = run_cli(capsys, "member", "--coeffs", path, "--lambda", "2", *self.ARGS)
+        _, second, _ = run_cli(capsys, "member", "--coeffs", path, "--lambda", "2", *self.ARGS)
+        assert first == second
+        assert json.loads(first)["samples_used"] == 48
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_leak(self, capsys, tmp_path):
+        path = identity_file(tmp_path)
+        _, out, _ = run_cli(capsys, "member", "--coeffs", path, *self.ARGS)
+        assert json.loads(out)["samples_used"] == 48
+        _, out, _ = run_cli(capsys, "member", "--coeffs", path, "--points", "6")
+        assert json.loads(out)["samples_used"] == 60  # ten default radii
+        dump = tmp_path / "cloud.csv"
+        run_cli(capsys, "member", "--coeffs", path, "--points", "6", "--dump", str(dump))
+        dump.unlink()
+        run_cli(capsys, "member", "--coeffs", path, "--points", "6")
+        assert not dump.exists()
+
+    def test_rebound_command_honoured(self, capsys, tmp_path, monkeypatch):
+        path = identity_file(tmp_path)
+        run_cli(capsys, "member", "--coeffs", path, *self.ARGS)
+        seen = []
+
+        def fake_member(args):
+            seen.append(args.coeffs)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_member", fake_member)
+        code, out, _ = run_cli(capsys, "member", "--coeffs", path, *self.ARGS)
+        assert code == 7 and out == ""
+        assert seen == [path]
+
+
+def test_dump_matches_verdict(capsys, tmp_path):
+    path = tmp_path / "fail.json"
+    path.write_text(json.dumps([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]] + [[0.0, 0.0]] * 14))
+    dump = tmp_path / "cloud.csv"
+    code, out, _ = run_cli(
+        capsys, "member", "--coeffs", str(path), "--lambda", "30",
+        "--radii", "0.9,0.95", "--points", "36", "--dump", str(dump),
+    )
+    assert code == 1
+    verdict = json.loads(out)
+    rows = [line.split(",") for line in dump.read_text().splitlines()[1:]]
+    margins = [float(row[4]) for row in rows]
+    assert len(rows) == verdict["samples_used"] == 72
+    assert min(margins) == verdict["margin"]
+    first = rows[margins.index(min(margins))]
+    assert [float(first[0]), float(first[1])] == verdict["witness"]
+    # repr round-trips, so every field reads back to the exact float
+    assert all(repr(float(x)) == x for row in rows for x in row)
