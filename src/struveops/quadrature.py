@@ -7,8 +7,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+#: Rules kept, least recently used evicted first.  The exponents are
+#: continuous parameters, so across unrelated calls a key seldom recurs; the
+#: cache serves the repeats inside one computation (a verify suite needs at
+#: most 90 rules and reuses each hundreds of times).  Unbounded, it would grow
+#: with every distinct exponent a long-lived process sees, and a call would
+#: cost 10x less when some earlier call happened to use the same exponent.
+RULE_CACHE_SIZE = 256
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=RULE_CACHE_SIZE)
 def jacobi_rule_01(n: int, alpha: float, beta: float):
     """Nodes/weights with ``sum w_i f(t_i) ~ int_0^1 t^beta (1-t)^alpha f(t) dt``.
 
