@@ -13,8 +13,6 @@ from .bounds import (
     best_dominant_q,
     bound_report,
     briot_bouquet_target,
-    inclusion_interpolant,
-    lambda_negative_identity,
     lower_bound_h_minus1,
     modulus_bounds,
     q_starlike_certificate,
@@ -30,7 +28,6 @@ from .classes import (
     ClassParams,
     MobiusTarget,
     Verdict,
-    class_expression,
     expression_evaluator,
     j_functional,
     lemma3_check,
@@ -53,22 +50,17 @@ from .hypergeom import (
     f21_euler,
     f21_pfaff,
     f21_series,
-    f21_symmetry_check,
 )
 from .operator import (
     apply_s,
-    apply_s_modified,
-    apply_s_struve,
     phi_series,
     recurrence_residual,
 )
 from .series import (
     DEFAULT_ORDER,
     PowerSeries,
-    differentiate,
     evaluate,
     hadamard,
-    linear_combine,
 )
 from .specialfn import (
     StruveParams,
@@ -76,7 +68,6 @@ from .specialfn import (
     generalized_m,
     normalized_n_series,
     ode_residual_n,
-    pochhammer,
     struve_h,
     struve_l,
 )
@@ -100,29 +91,21 @@ __all__ = [
     "StruveParams",
     "Verdict",
     "apply_s",
-    "apply_s_modified",
-    "apply_s_struve",
     "best_dominant_q",
     "bound_report",
     "briot_bouquet_target",
-    "class_expression",
-    "differentiate",
     "evaluate",
     "expression_evaluator",
     "f21",
     "f21_euler",
     "f21_pfaff",
     "f21_series",
-    "f21_symmetry_check",
     "gamma",
     "generalized_m",
     "hadamard",
-    "inclusion_interpolant",
     "j_functional",
-    "lambda_negative_identity",
     "lemma3_check",
     "lemma6_check",
-    "linear_combine",
     "lower_bound_h_minus1",
     "membership_samples",
     "membership_test",
@@ -131,7 +114,6 @@ __all__ = [
     "normalized_n_series",
     "ode_residual_n",
     "phi_series",
-    "pochhammer",
     "power_mu",
     "q_starlike_certificate",
     "radius_factor",

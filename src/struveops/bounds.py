@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,11 +58,25 @@ class DominantParams:
         return cls(mu * k / lam, target)
 
 
-def _q_quadrature(dp: DominantParams, z: complex, nodes: int) -> complex:
-    t, w = jacobi_rule_01(nodes, 0.0, dp.beta - 1.0)
-    zu = z * t
-    values = (1.0 + dp.target.A * zu) / (1.0 + dp.target.B * zu)
-    return dp.beta * complex(np.dot(w, values))
+def _settled_integral(beta: float, integrand: Callable, nodes: int, what: str, *args):
+    """``beta * int_0^1 integrand(t) t^(beta-1) dt`` by Gauss-Jacobi quadrature.
+
+    Evaluated with ``nodes`` and with ``max(8, nodes // 2)`` nodes; a mismatch
+    beyond 1e-8 of the value scale is reported as quadrature non-convergence
+    of the integral named ``what % args`` (formatted only then: q is called
+    ~10^4 times per verify run).
+    """
+    half_nodes = max(8, nodes // 2)
+    t, w = jacobi_rule_01(nodes, 0.0, beta - 1.0)
+    full = beta * np.dot(w, integrand(t))
+    t, w = jacobi_rule_01(half_nodes, 0.0, beta - 1.0)
+    half = beta * np.dot(w, integrand(t))
+    if abs(full - half) > 1e-8 * max(1.0, abs(full)):
+        raise ConvergenceError(
+            f"quadrature for {what % args} did not settle: {nodes} vs {half_nodes} nodes "
+            f"differ by {abs(full - half):g}"
+        )
+    return full
 
 
 def best_dominant_q(dp: DominantParams, z: complex, nodes: int = 128) -> complex:
@@ -76,14 +90,13 @@ def best_dominant_q(dp: DominantParams, z: complex, nodes: int = 128) -> complex
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"best dominant defined on |z| < 1, got |z| = {abs(z):g}")
-    full = _q_quadrature(dp, z, nodes)
-    half = _q_quadrature(dp, z, max(8, nodes // 2))
-    if abs(full - half) > 1e-8 * max(1.0, abs(full)):
-        raise ConvergenceError(
-            f"quadrature for q({z}) did not settle: {nodes} vs {nodes // 2} nodes "
-            f"differ by {abs(full - half):g}"
-        )
-    return full
+    A, B = dp.target.A, dp.target.B
+
+    def phi_zu(t: np.ndarray) -> np.ndarray:
+        zu = z * t
+        return (1.0 + A * zu) / (1.0 + B * zu)
+
+    return complex(_settled_integral(dp.beta, phi_zu, nodes, "q(%s)", z))
 
 
 def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> complex:
@@ -111,16 +124,8 @@ def lower_bound_h_minus1(dp: DominantParams, nodes: int = 192) -> float:
     if dp.beta <= 0:
         raise ParameterError(f"lower bound needs beta > 0, got {dp.beta}")
     A, B = dp.target.A, dp.target.B
-    t, w = jacobi_rule_01(nodes, 0.0, dp.beta - 1.0)
-    values = (1.0 - A * t) / (1.0 - B * t)
-    full = dp.beta * float(np.dot(w, values))
-    t2, w2 = jacobi_rule_01(max(8, nodes // 2), 0.0, dp.beta - 1.0)
-    half = dp.beta * float(np.dot(w2, (1.0 - A * t2) / (1.0 - B * t2)))
-    if abs(full - half) > 1e-8 * max(1.0, abs(full)):
-        raise ConvergenceError(
-            f"quadrature for h(-1) did not settle (difference {abs(full - half):g})"
-        )
-    return full
+    return float(_settled_integral(
+        dp.beta, lambda t: (1.0 - A * t) / (1.0 - B * t), nodes, "h(-1)"))
 
 
 def radius_positivity(lam: float, mu: float, k: float) -> float:
@@ -150,17 +155,18 @@ def radius_factor(lam: float, mu: float, k: float, r: float) -> float:
     return (1.0 - r * r - 2.0 * c * r) / (1.0 - r * r)
 
 
-def re_zqprime_over_q(B: float, r: float, psi: float) -> float:
+def re_zqprime_over_q(B: float, r: float | np.ndarray,
+                      psi: float | np.ndarray) -> float | np.ndarray:
     """Closed form of ``Re(z Q'(z)/Q(z))`` for ``Q(z) = const * z/(1+Bz)^2``:
 
         (1 - B^2 r^2) / ((1 + B r cos psi)^2 + B^2 r^2 sin^2 psi),
 
     at ``z = r e^(i psi)``.  Strictly positive for |B r| < 1, which is the
-    starlikeness of Q on the unit disk.
+    starlikeness of Q on the unit disk.  Arrays of r and psi broadcast.
     """
     br = B * r
     return (1.0 - br * br) / (
-        (1.0 + br * math.cos(psi)) ** 2 + (br * math.sin(psi)) ** 2
+        (1.0 + br * np.cos(psi)) ** 2 + (br * np.sin(psi)) ** 2
     )
 
 
@@ -189,9 +195,7 @@ def q_starlike_certificate(A: float, B: float, grid_r: int = 50,
         raise ParameterError("grid sizes must be positive")
     rs = np.linspace(0.99 / grid_r, 0.99, grid_r)
     psis = np.linspace(0.0, 2.0 * math.pi, grid_psi, endpoint=False)
-    rr, pp = np.meshgrid(rs, psis, indexing="ij")
-    br = B * rr
-    values = (1.0 - br**2) / ((1.0 + br * np.cos(pp)) ** 2 + (br * np.sin(pp)) ** 2)
+    values = re_zqprime_over_q(B, *np.meshgrid(rs, psis, indexing="ij"))
     idx = np.unravel_index(np.argmin(values), values.shape)
     worst = float(values[idx])
     witness = rs[idx[0]] * cmath.exp(1j * psis[idx[1]])
@@ -219,26 +223,10 @@ def q_starlike_certificate(A: float, B: float, grid_r: int = 50,
 
 def re_bounds(dp: DominantParams, tol: float = 1e-13) -> tuple[float, float]:
     """Extremes of ``Re`` of the dominated functional over the whole disk:
-
-        lower = A/B + (1 - A/B) 2F1(1, beta, beta+1; B)
-        upper = A/B + (1 - A/B) 2F1(1, beta, beta+1; -B)          (B != 0)
-
-    and ``1 -+ (beta/(beta+1)) A`` for B = 0.  For the half-plane target
-    B = -1 the upper 2F1 argument hits +1 where the function diverges; the
-    image is genuinely unbounded above and the upper bound is reported as inf.
+    :func:`modulus_bounds` at ``r = 1``.  For the half-plane target B = -1 the
+    image is unbounded above and the upper bound is inf.
     """
-    if dp.beta < 0:
-        raise ParameterError(f"bounds need beta >= 0, got {dp.beta}")
-    A, B = dp.target.A, dp.target.B
-    if B == 0.0:
-        d = dp.beta / (dp.beta + 1.0) * A
-        return 1.0 - d, 1.0 + d
-    hp = HypergeomParams(1.0, dp.beta, dp.beta + 1.0)
-    lower = A / B + (1.0 - A / B) * f21(hp, B, tol).real
-    if B == -1.0:
-        return lower, math.inf
-    upper = A / B + (1.0 - A / B) * f21(hp, -B, tol).real
-    return lower, upper
+    return modulus_bounds(dp, 1.0, tol)
 
 
 def modulus_bounds(dp: DominantParams, r: float,
@@ -248,48 +236,24 @@ def modulus_bounds(dp: DominantParams, r: float,
         A/B + (1 - A/B) 2F1(1, beta, beta+1; +-B r)               (B != 0)
         1 -+ (beta/(beta+1)) A r                                  (B  = 0)
 
-    Nested inside the ``re_bounds`` interval and converging to it as r -> 1.
+    for ``0 <= r <= 1``; the intervals nest and ``r = 1`` gives the Re bounds.
+    At ``B r = -1`` the upper 2F1 argument hits +1, where the function
+    diverges, and the upper bound is inf.
     """
     if dp.beta < 0:
         raise ParameterError(f"bounds need beta >= 0, got {dp.beta}")
-    if not 0.0 <= r < 1.0:
-        raise ParameterError(f"r must lie in [0, 1), got {r}")
+    if not 0.0 <= r <= 1.0:
+        raise ParameterError(f"r must lie in [0, 1], got {r}")
     A, B = dp.target.A, dp.target.B
     if B == 0.0:
         d = dp.beta / (dp.beta + 1.0) * A * r
         return 1.0 - d, 1.0 + d
     hp = HypergeomParams(1.0, dp.beta, dp.beta + 1.0)
     lower = A / B + (1.0 - A / B) * f21(hp, B * r, tol).real
+    if B * r == -1.0:
+        return lower, math.inf
     upper = A / B + (1.0 - A / B) * f21(hp, -B * r, tol).real
     return lower, upper
-
-
-def inclusion_interpolant(lambda1: float, lambda2: float, h1: complex,
-                          h2: complex) -> complex:
-    """Convex combination ``(l1/l2) h1 + (1 - l1/l2) h2`` for 0 <= l1 < l2.
-
-    This is the interpolation step behind the class inclusion in the mixing
-    weight: with h1, h2 inside a convex target the combination stays inside.
-    """
-    if not 0.0 <= lambda1 < lambda2:
-        raise ParameterError(
-            f"need 0 <= lambda1 < lambda2, got {lambda1}, {lambda2}"
-        )
-    t = lambda1 / lambda2
-    return t * complex(h1) + (1.0 - t) * complex(h2)
-
-
-def lambda_negative_identity(lam: complex, e1: complex, e2: complex) -> complex:
-    """Rearrangement ``(1 + 1/lambda) e1 - (1/lambda) e2``.
-
-    With e1 the fractional-power term and e2 the full class expression this
-    recovers the ratio term; for real lambda <= -1 the two weights lie in
-    [0, 1] and sum to 1, so the result is a convex combination.
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise ParameterError("lambda = 0 has no rearrangement")
-    return (1.0 + 1.0 / lam) * complex(e1) - (1.0 / lam) * complex(e2)
 
 
 def bound_report(theorem_id: str, dp: DominantParams,

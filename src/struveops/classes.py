@@ -171,18 +171,15 @@ def expression_evaluator(cp: ClassParams, f: PowerSeries) -> Callable:
     return evaluate_at
 
 
-def class_expression(cp: ClassParams, f: PowerSeries, z: complex) -> complex:
-    """The rotated membership expression at a single point (see above)."""
-    return expression_evaluator(cp, f)(z)
-
-
-def j_functional(cp: ClassParams, f: PowerSeries, z: complex) -> complex:
+def j_functional(cp: ClassParams, f: PowerSeries,
+                 z: complex | np.ndarray) -> complex | np.ndarray:
     """De-rotated functional ``(expression - i sin alpha) / cos alpha``.
 
     Equals the class expression itself when alpha = 0 and is identically 1
-    for f(z) = z regardless of the remaining parameters.
+    for f(z) = z regardless of the remaining parameters.  Takes a scalar or
+    an array of z, like :func:`expression_evaluator`.
     """
-    value = class_expression(cp, f, z)
+    value = expression_evaluator(cp, f)(z)
     return (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
 
 
@@ -224,7 +221,7 @@ def membership_samples(
     z = (np.asarray(radii, dtype=float)[:, None]
          * np.exp(1j * (step * np.arange(points_per_circle)))).ravel()
     with np.errstate(all="ignore"):
-        value = (expression_evaluator(cp, f)(z) - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
+        value = j_functional(cp, f, z)
         margin = mobius_image_check(cp.target, value)
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:

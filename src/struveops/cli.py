@@ -30,7 +30,7 @@ import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bounds import DominantParams, best_dominant_q, sharp_bound_h
 from .classes import (
@@ -38,7 +38,6 @@ from .classes import (
     ClassParams,
     MobiusTarget,
     membership_samples,
-    membership_test,
     verdict_from_samples,
 )
 from .errors import NumericsError, ParameterError
@@ -55,12 +54,36 @@ EXIT_NUMERIC = 3
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``re+imi`` strings; plain reals and pure imaginaries included."""
+    """Parse finite ``re+imi`` strings; plain reals and pure imaginaries included."""
     s = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
     try:
-        return complex(s)
+        value = complex(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """The type of every real-valued flag: a float that is neither nan nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_radii(text: str) -> tuple[float, ...]:
@@ -77,80 +100,67 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _require(args: argparse.Namespace, names: Sequence[str], target: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        raise ParameterError(f"eval {target} requires {flags}")
+def _refined(value_at: Callable) -> Callable:
+    """Series value at ``--terms`` terms; the estimate is its change at twice as many."""
+    def compute(args: argparse.Namespace) -> tuple[complex, float, int]:
+        value = value_at(args, args.terms)
+        return value, abs(value - value_at(args, 2 * args.terms)), args.terms
+    return compute
 
 
-EVAL_TARGETS = (
-    "struve-h", "struve-l", "struve-m", "struve-n", "f21", "phi", "q", "h-bound",
-)
+def _truncated(series: PowerSeries, args: argparse.Namespace) -> tuple[complex, float, int]:
+    """Horner value at ``--z`` of a series of order ``--order``, with its tail estimate."""
+    r = abs(args.z)
+    tail = abs(series[series.order]) * r**series.order / (1.0 - r) if r < 1.0 else math.nan
+    return evaluate(series, args.z), tail, args.order
 
 
-def _tail_estimate(last_coeff: complex, z: complex, order: int) -> float:
-    r = abs(z)
-    if r >= 1.0:
-        return float("nan")
-    return abs(last_coeff) * r**order / (1.0 - r)
+def _struve(args: argparse.Namespace) -> StruveParams:
+    return StruveParams(args.p, args.b, args.c)
+
+
+def _dominant(args: argparse.Namespace) -> DominantParams:
+    return DominantParams(args.beta, MobiusTarget(args.A, args.B))
+
+
+def _q(args: argparse.Namespace) -> tuple[complex, float, int]:
+    dp = _dominant(args)
+    value = best_dominant_q(dp, args.z, args.nodes)
+    coarse = best_dominant_q(dp, args.z, max(8, args.nodes // 2))
+    return value, abs(value - coarse), args.nodes
+
+
+#: eval target -> (required flags, which are also the ``input`` keys, and a
+#: function of the parsed arguments giving (value, error estimate, terms or nodes)).
+#: Library functions are looked up when called, so rebinding one is honoured.
+EVAL_TARGETS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "struve-h": (("p", "z"), _refined(lambda a, n: struve_h(a.p, a.z, n))),
+    "struve-l": (("p", "z"), _refined(lambda a, n: struve_l(a.p, a.z, n))),
+    "struve-m": (("p", "b", "c", "z"), _refined(lambda a, n: generalized_m(_struve(a), a.z, n))),
+    "struve-n": (("p", "b", "c", "z"),
+                 lambda a: _truncated(normalized_n_series(_struve(a), a.order), a)),
+    "f21": (("a", "b", "c", "z"), lambda a: (
+        f21(HypergeomParams(a.a, a.b, a.c), a.z, a.tol), a.tol, 0)),
+    "phi": (("p", "b", "c", "z"), lambda a: _truncated(phi_series(_struve(a), a.order), a)),
+    "q": (("A", "B", "beta", "z"), _q),
+    "h-bound": (("A", "B", "beta", "z"), lambda a: (
+        sharp_bound_h(_dominant(a), a.z, a.tol), a.tol, 0)),
+}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    target = args.target
-    used: dict = {"target": target}
-    if target in ("struve-h", "struve-l"):
-        _require(args, ("p", "z"), target)
-        fn = struve_h if target == "struve-h" else struve_l
-        value = fn(args.p, args.z, args.terms)
-        refined = fn(args.p, args.z, 2 * args.terms)
-        est = abs(value - refined)
-        used.update(p=str(args.p), z=str(args.z))
-        count = args.terms
-    elif target == "struve-m":
-        _require(args, ("p", "b", "c", "z"), target)
-        sp = StruveParams(args.p, args.b, args.c)
-        value = generalized_m(sp, args.z, args.terms)
-        est = abs(value - generalized_m(sp, args.z, 2 * args.terms))
-        used.update(p=str(args.p), b=str(args.b), c=str(args.c), z=str(args.z))
-        count = args.terms
-    elif target in ("struve-n", "phi"):
-        _require(args, ("p", "b", "c", "z"), target)
-        sp = StruveParams(args.p, args.b, args.c)
-        series = (normalized_n_series if target == "struve-n" else phi_series)(
-            sp, args.order
-        )
-        value = evaluate(series, args.z)
-        est = _tail_estimate(series[series.order], args.z, series.order)
-        used.update(p=str(args.p), b=str(args.b), c=str(args.c), z=str(args.z))
-        count = args.order
-    elif target == "f21":
-        _require(args, ("a", "b", "c", "z"), target)
-        value = f21(HypergeomParams(args.a, args.b, args.c), args.z, args.tol)
-        est = args.tol
-        used.update(a=str(args.a), b=str(args.b), c=str(args.c), z=str(args.z))
-        count = 0
-    elif target == "q":
-        _require(args, ("A", "B", "beta", "z"), target)
-        dp = DominantParams(args.beta, MobiusTarget(args.A, args.B))
-        value = best_dominant_q(dp, args.z, args.nodes)
-        coarse = best_dominant_q(dp, args.z, max(8, args.nodes // 2))
-        est = abs(value - coarse)
-        used.update(A=args.A, B=args.B, beta=args.beta, z=str(args.z))
-        count = args.nodes
-    elif target == "h-bound":
-        _require(args, ("A", "B", "beta", "z"), target)
-        dp = DominantParams(args.beta, MobiusTarget(args.A, args.B))
-        value = sharp_bound_h(dp, args.z, args.tol)
-        est = args.tol
-        used.update(A=args.A, B=args.B, beta=args.beta, z=str(args.z))
-        count = 0
-    else:  # unreachable thanks to argparse choices
-        raise ParameterError(f"unknown eval target {target!r}")
+    flags, compute = EVAL_TARGETS[args.target]
+    inputs = {n: getattr(args, n) for n in flags}
+    missing = [f"--{n}" for n, v in inputs.items() if v is None]
+    if missing:
+        raise ParameterError(f"eval {args.target} requires {', '.join(missing)}")
+    value, est, count = compute(args)
     value = complex(value)
+    # Complex flags are echoed as their str(), real ones as numbers.
+    inputs = {n: str(v) if isinstance(v, complex) else v for n, v in inputs.items()}
     _emit(
         {
-            "input": used,
+            "input": {"target": args.target, **inputs},
             "value": [value.real, value.imag],
             "terms_or_nodes": count,
             "est_error": None if not math.isfinite(est) else est,
@@ -187,20 +197,18 @@ def cmd_member(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         lam=args.lam,
         mu=args.mu,
-        struve=StruveParams(args.p, args.b, args.c),
+        struve=_struve(args),
         target=MobiusTarget(args.A, args.B),
     )
     radii = args.radii if args.radii is not None else DEFAULT_RADII
+    z, value, margin = membership_samples(cp, f, radii, args.points)
     if args.dump:
-        z, value, margin = membership_samples(cp, f, radii, args.points)
         columns = (z.real, z.imag, value.real, value.imag, margin)
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write("z_re,z_im,j_re,j_im,margin\n")
             for row in zip(*(col.tolist() for col in columns)):
                 fh.write(",".join(map(repr, row)) + "\n")
-        verdict = verdict_from_samples(z, margin)
-    else:
-        verdict = membership_test(cp, f, radii, args.points)
+    verdict = verdict_from_samples(z, margin)
     _emit(verdict.to_json())
     return EXIT_OK if verdict.passed else EXIT_FAIL
 
@@ -257,25 +265,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--c", type=parse_complex)
     p_eval.add_argument("--a", type=parse_complex)
     p_eval.add_argument("--z", type=parse_complex)
-    p_eval.add_argument("--A", type=float)
-    p_eval.add_argument("--B", type=float)
-    p_eval.add_argument("--beta", type=float)
+    p_eval.add_argument("--A", type=finite_float)
+    p_eval.add_argument("--B", type=finite_float)
+    p_eval.add_argument("--beta", type=finite_float)
     p_eval.add_argument("--terms", type=int, default=64)
     p_eval.add_argument("--order", type=int, default=64)
     p_eval.add_argument("--nodes", type=int, default=128)
-    p_eval.add_argument("--tol", type=float, default=1e-13)
+    p_eval.add_argument("--tol", type=finite_float, default=1e-13)
 
     p_member = sub.add_parser("member", help="test class membership of a series")
     p_member.add_argument("--coeffs", required=True,
                           help="JSON file: array of [re, im], index = power of z")
-    p_member.add_argument("--alpha", type=float, default=0.0)
+    p_member.add_argument("--alpha", type=finite_float, default=0.0)
     p_member.add_argument("--lambda", dest="lam", type=parse_complex, default=1 + 0j)
-    p_member.add_argument("--mu", type=float, default=0.5)
+    p_member.add_argument("--mu", type=finite_float, default=0.5)
     p_member.add_argument("--p", type=parse_complex, default=0.5 + 0j)
     p_member.add_argument("--b", type=parse_complex, default=1 + 0j)
     p_member.add_argument("--c", type=parse_complex, default=1 + 0j)
-    p_member.add_argument("--A", type=float, default=1.0)
-    p_member.add_argument("--B", type=float, default=-1.0)
+    p_member.add_argument("--A", type=finite_float, default=1.0)
+    p_member.add_argument("--B", type=finite_float, default=-1.0)
     p_member.add_argument("--radii", type=parse_radii, default=None)
     p_member.add_argument("--points", type=int, default=720)
     p_member.add_argument("--dump", default=None,
@@ -284,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--trials", type=positive_int, default=None)
+    p_verify.add_argument("--tol", type=finite_float, default=None)
 
     return parser
 

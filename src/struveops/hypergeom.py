@@ -131,10 +131,3 @@ def f21(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> complex:
     raise DomainError(
         f"2F1 argument z = {z} outside the supported region (|z| < 1 or Re z < 1/2)"
     )
-
-
-def f21_symmetry_check(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> float:
-    """|2F1(a,b,c;z) - 2F1(b,a,c;z)| through the series on |z| < 1."""
-    direct = f21_series(hp, z, tol)
-    swapped = f21_series(HypergeomParams(hp.b, hp.a, hp.c), z, tol)
-    return abs(direct - swapped)

@@ -13,19 +13,15 @@ from __future__ import annotations
 
 from .errors import ParameterError
 from .series import DEFAULT_ORDER, PowerSeries, hadamard
-from .specialfn import StruveParams
+from .specialfn import StruveParams, normalized_n_series
 
 
 def phi_series(params: StruveParams, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """Kernel coefficients: 0, 1, then ``(-c/4)^n / ((3/2)_n (k)_n)`` at z^(n+1)."""
-    if order < 1:
-        raise ParameterError("order must be >= 1")
-    coeffs = [0j, 1 + 0j]
-    a = 1 + 0j
-    for n in range(1, order):
-        a *= (-params.c / 4.0) / ((n + 0.5) * (params.k + n - 1.0))
-        coeffs.append(a)
-    return PowerSeries(tuple(coeffs))
+    """Kernel coefficients: 0, 1, then ``(-c/4)^n / ((3/2)_n (k)_n)`` at z^(n+1).
+
+    The kernel is ``z`` times the normalized series, ``phi(z) = z N(z)``.
+    """
+    return PowerSeries((0,) + normalized_n_series(params, order).coeffs[:-1])
 
 
 def apply_s(params: StruveParams, f: PowerSeries) -> PowerSeries:
@@ -33,16 +29,6 @@ def apply_s(params: StruveParams, f: PowerSeries) -> PowerSeries:
     if not f.is_normalized():
         raise ParameterError("operator input must be normalized (c0 = 0, c1 = 1)")
     return hadamard(phi_series(params, f.order), f)
-
-
-def apply_s_struve(p: complex, f: PowerSeries) -> PowerSeries:
-    """Specialization (b, c) = (1, 1): the plain Struve kernel, k = p + 3/2."""
-    return apply_s(StruveParams(p, 1.0, 1.0), f)
-
-
-def apply_s_modified(p: complex, f: PowerSeries) -> PowerSeries:
-    """Specialization (b, c) = (1, -1): the modified Struve kernel."""
-    return apply_s(StruveParams(p, 1.0, -1.0), f)
 
 
 def recurrence_residual(params: StruveParams, f: PowerSeries) -> float:

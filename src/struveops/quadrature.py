@@ -7,6 +7,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .errors import ParameterError
+
 #: Rules kept, least recently used evicted first.  The exponents are
 #: continuous parameters, so across unrelated calls a key seldom recurs; the
 #: cache serves the repeats inside one computation (a verify suite needs at
@@ -21,8 +23,15 @@ def jacobi_rule_01(n: int, alpha: float, beta: float):
     """Nodes/weights with ``sum w_i f(t_i) ~ int_0^1 t^beta (1-t)^alpha f(t) dt``.
 
     ``alpha`` and ``beta`` are the endpoint exponents at t=1 and t=0; both must
-    exceed -1.  The returned arrays are shared across callers and read-only.
+    exceed -1, and ``n`` must be at least 1; otherwise ParameterError.  The
+    returned arrays are shared across callers and read-only.
     """
+    if n < 1:
+        raise ParameterError(f"a Gauss-Jacobi rule needs n >= 1 nodes, got {n}")
+    if not (alpha > -1.0 and beta > -1.0):
+        raise ParameterError(
+            f"Gauss-Jacobi exponents must exceed -1, got alpha={alpha}, beta={beta}"
+        )
     x, w = roots_jacobi(n, alpha, beta)
     t = 0.5 * (x + 1.0)
     w = w * 2.0 ** (-(alpha + beta + 1.0))

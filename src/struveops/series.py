@@ -73,13 +73,6 @@ def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(f.coeffs[i] * g.coeffs[i] for i in range(n + 1)))
 
 
-def differentiate(f: PowerSeries) -> PowerSeries:
-    """Formal derivative; the order drops by one.  Rejects order-0 input."""
-    if f.order < 1:
-        raise ParameterError("cannot differentiate an order-0 series")
-    return PowerSeries(tuple((n + 1) * f.coeffs[n + 1] for n in range(f.order)))
-
-
 def evaluate(f: PowerSeries, z: complex) -> complex:
     """Horner evaluation at ``z``; exact for polynomials of degree <= order.
 
@@ -91,9 +84,3 @@ def evaluate(f: PowerSeries, z: complex) -> complex:
     for c in reversed(f.coeffs):
         acc = acc * z + c
     return acc
-
-
-def linear_combine(a: complex, f: PowerSeries, b: complex, g: PowerSeries) -> PowerSeries:
-    """Coefficientwise ``a*f + b*g``, truncated to the shorter order."""
-    n = min(f.order, g.order)
-    return PowerSeries(tuple(a * f.coeffs[i] + b * g.coeffs[i] for i in range(n + 1)))

@@ -1,11 +1,13 @@
-"""Gamma, Pochhammer and the Struve function family.
+"""Gamma and the Struve function family.
 
-The four series evaluators share one pattern: the n-th term is obtained from
-the previous one by a rational ratio, so no large gamma values are ever formed
-and overflow cannot occur even for hundreds of terms.  Fractional powers use
-the principal branch throughout, ``w**e = exp(e Log w)`` with Log the
-principal logarithm; arguments are kept off the negative real axis by the
-callers that care.
+The Struve functions H_p and L_p are the generalized family at
+``(b, c) = (1, +-1)``, so all three are summed by one series; the normalized
+kernel series is that family rescaled (see ``normalized_n_series``).  Each
+n-th term is obtained from the previous one by a rational ratio, so no large
+gamma values are ever formed and overflow cannot occur even for hundreds of
+terms.  Fractional powers use the principal branch throughout,
+``w**e = exp(e Log w)`` with Log the principal logarithm; arguments are kept
+off the negative real axis by the callers that care.
 """
 
 from __future__ import annotations
@@ -72,21 +74,6 @@ def gamma(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * cpow(t, w + 0.5) * cmath.exp(-t) * acc
 
 
-def pochhammer(g: complex, n: int) -> complex:
-    """Rising factorial ``g (g+1) ... (g+n-1)``; the empty product is 1.
-
-    Computed as a direct product, so nonpositive-integer ``g`` yields exact
-    zeros instead of tripping over gamma poles.
-    """
-    if n < 0:
-        raise ParameterError("pochhammer index must be nonnegative")
-    acc = 1 + 0j
-    g = complex(g)
-    for i in range(n):
-        acc *= g + i
-    return acc
-
-
 @dataclass(frozen=True)
 class StruveParams:
     """Order/family parameters ``(p, b, c)`` with derived ``k = p + (b+2)/2``.
@@ -117,60 +104,45 @@ class StruveParams:
         return StruveParams(self.p + dp, self.b, self.c)
 
 
-def _struve_sum(prefactor: complex, ratio_num: complex, shift: complex,
-                terms: int) -> complex:
-    """Sum ``prefactor * sum_n prod_{m<=n} ratio_num / ((m+1/2)(shift+m-1))``."""
-    term = prefactor
+def _m_series(p: complex, k: complex, c: complex, z: complex, terms: int) -> complex:
+    """``sum (-1)^n c^n (z/2)^(2n+p+1) / (G(n+3/2) G(k+n))`` over ``terms`` terms."""
+    if terms < 1:
+        raise ParameterError("terms must be >= 1")
+    z = complex(z)
+    if z == 0:
+        return 0j
+    w = z / 2.0
+    term = cpow(w, p + 1.0) / (gamma(1.5) * gamma(k))
     total = term
+    ratio = -c * w * w
     for n in range(1, terms):
-        denom = (n + 0.5) * (shift + n - 1.0)
+        denom = (n + 0.5) * (k + n - 1.0)
         if denom == 0:
             raise PoleError(f"gamma pole encountered at series index n = {n}")
-        term *= ratio_num / denom
+        term *= ratio / denom
         total += term
     return total
 
 
 def struve_h(p: complex, z: complex, terms: int = 64) -> complex:
-    """Struve function: ``sum (-1)^n (z/2)^(2n+p+1) / (G(n+3/2) G(p+n+3/2))``."""
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
+    """Struve function: ``sum (-1)^n (z/2)^(2n+p+1) / (G(n+3/2) G(p+n+3/2))``.
+
+    The generalized family at ``(b, c) = (1, 1)``; a pole of ``G(p+3/2)``
+    raises PoleError.
+    """
     p = complex(p)
-    z = complex(z)
-    if z == 0:
-        return 0j
-    w = z / 2.0
-    pre = cpow(w, p + 1.0) / (gamma(1.5) * gamma(p + 1.5))
-    return _struve_sum(pre, -(w * w), p + 1.5, terms)
+    return _m_series(p, p + 1.5, 1 + 0j, z, terms)
 
 
 def struve_l(p: complex, z: complex, terms: int = 64) -> complex:
-    """Modified Struve function: same series as ``struve_h`` without signs."""
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
+    """Modified Struve function: the generalized family at ``(b, c) = (1, -1)``."""
     p = complex(p)
-    z = complex(z)
-    if z == 0:
-        return 0j
-    w = z / 2.0
-    pre = cpow(w, p + 1.0) / (gamma(1.5) * gamma(p + 1.5))
-    return _struve_sum(pre, w * w, p + 1.5, terms)
+    return _m_series(p, p + 1.5, -1 + 0j, z, terms)
 
 
 def generalized_m(params: StruveParams, z: complex, terms: int = 64) -> complex:
-    """Generalized family: ``sum (-1)^n c^n (z/2)^(2n+p+1) / (G(n+3/2) G(k+n))``.
-
-    Reduces to ``struve_h`` at ``(b, c) = (1, 1)`` and to ``struve_l`` at
-    ``(b, c) = (1, -1)``.
-    """
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
-    z = complex(z)
-    if z == 0:
-        return 0j
-    w = z / 2.0
-    pre = cpow(w, params.p + 1.0) / (gamma(1.5) * gamma(params.k))
-    return _struve_sum(pre, -params.c * w * w, params.k, terms)
+    """Generalized family: ``sum (-1)^n c^n (z/2)^(2n+p+1) / (G(n+3/2) G(k+n))``."""
+    return _m_series(params.p, params.k, params.c, z, terms)
 
 
 def normalized_n_series(params: StruveParams, order: int = 64) -> PowerSeries:

@@ -59,6 +59,14 @@ def _record(suite: str, check: str, passed: bool, **extra) -> dict:
     return rec
 
 
+def _params(params: StruveParams | DominantParams) -> dict:
+    """A record's ``params``: ``(p, b, c)`` as ``[re, im]`` pairs, or ``(A, B, beta)``."""
+    if isinstance(params, StruveParams):
+        return {name: [v.real, v.imag] for name, v in
+                (("p", params.p), ("b", params.b), ("c", params.c))}
+    return {"A": params.target.A, "B": params.target.B, "beta": params.beta}
+
+
 def _random_complex(rng: np.random.Generator, scale: float = 2.0) -> complex:
     re, im = rng.uniform(-scale, scale, size=2)
     return complex(re, im)
@@ -106,12 +114,8 @@ def run_recurrence(seed: int = 0, trials: int = 100, tol: float = 1e-12) -> list
         sp = params[i % len(params)]
         value = recurrence_residual(sp, f)
         records.append(
-            _record(
-                "recurrence", f"trial-{i:03d}", value <= tol,
-                value=value, tol=tol,
-                params={"p": [sp.p.real, sp.p.imag], "b": [sp.b.real, sp.b.imag],
-                        "c": [sp.c.real, sp.c.imag]},
-            )
+            _record("recurrence", f"trial-{i:03d}", value <= tol,
+                    value=value, tol=tol, params=_params(sp))
         )
     return records
 
@@ -124,12 +128,8 @@ def run_ode(seed: int = 0, trials: int = 100, tol: float = 1e-10,
         sp = _random_struve_params(_rng(seed, 1, i))
         value = ode_residual_n(sp, order)
         records.append(
-            _record(
-                "ode", f"trial-{i:03d}", value <= tol,
-                value=value, tol=tol,
-                params={"p": [sp.p.real, sp.p.imag], "b": [sp.b.real, sp.b.imag],
-                        "c": [sp.c.real, sp.c.imag]},
-            )
+            _record("ode", f"trial-{i:03d}", value <= tol,
+                    value=value, tol=tol, params=_params(sp))
         )
     return records
 
@@ -206,7 +206,7 @@ def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9,
         records.append(
             _record("dominant", f"agreement-{i:02d}", worst <= tol,
                     value=worst, tol=tol,
-                    params={"A": dp.target.A, "B": dp.target.B, "beta": dp.beta})
+                    params=_params(dp))
         )
         margin = math.inf
         for r in (0.25, 0.5, 0.75, 0.95):
@@ -316,7 +316,7 @@ def run_modulus_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-5) -> li
         records.append(
             _record("modulus-bounds", f"nesting-{i:02d}", monotone,
                     value=0.0 if monotone else 1.0, tol=0.0,
-                    params={"A": dp.target.A, "B": dp.target.B, "beta": dp.beta})
+                    params=_params(dp))
         )
         lo_lim, up_lim = modulus_bounds(dp, 1.0 - 1e-6)
         lo_re, up_re = re_bounds(dp)

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy
 
 from struveops import cli
 from struveops.cli import main, parse_complex
@@ -115,6 +118,98 @@ class TestEval:
         assert json.loads(out)["value"] == [0.4, 0.0]
 
 
+# Exact stdout of every eval target, recorded before cmd_eval became a table.
+EVAL_GOLDEN = [
+    (("struve-h", "--p", "0.5", "--z", "1.5"),
+     '{"est_error": 0.0, "input": {"p": "(0.5+0j)", "target": "struve-h", "z": "(1.5+0j)"}, '
+     '"terms_or_nodes": 64, "value": [0.6053868499774631, 0.0]}'),
+    (("struve-l", "--p", "0.25", "--z", "2", "--terms", "40"),
+     '{"est_error": 0.0, "input": {"p": "(0.25+0j)", "target": "struve-l", "z": "(2+0j)"}, '
+     '"terms_or_nodes": 40, "value": [1.7689293569352125, 0.0]}'),
+    (("struve-m", "--p", "0.5", "--b", "2", "--c=-0.5+0.25i", "--z", "0.7"),
+     '{"est_error": 0.0, "input": {"b": "(2+0j)", "c": "(-0.5+0.25j)", "p": "(0.5+0j)", '
+     '"target": "struve-m", "z": "(0.7+0j)"}, "terms_or_nodes": 64, '
+     '"value": [0.17864620042593493, -0.0014555792609070419]}'),
+    (("struve-n", "--p", "0.5", "--b", "1", "--c", "1", "--z", "0.3+0.2i"),
+     '{"est_error": 2.141514425069702e-248, "input": {"b": "(1+0j)", "c": "(1+0j)", '
+     '"p": "(0.5+0j)", "target": "struve-n", "z": "(0.3+0.2j)"}, "terms_or_nodes": 64, '
+     '"value": [0.9751393287836986, -0.016335608470721328]}'),
+    (("phi", "--p", "0.5", "--b", "1", "--c", "1", "--z", "0.3+0.2i", "--order", "12"),
+     '{"est_error": 2.43321973447191e-29, "input": {"b": "(1+0j)", "c": "(1+0j)", '
+     '"p": "(0.5+0j)", "target": "phi", "z": "(0.3+0.2j)"}, "terms_or_nodes": 12, '
+     '"value": [0.2958089203292538, 0.19012718321552333]}'),
+    (("f21", "--a", "1", "--b", "1", "--c", "2", "--z=-0.8"),
+     '{"est_error": 1e-13, "input": {"a": "(1+0j)", "b": "(1+0j)", "c": "(2+0j)", '
+     '"target": "f21", "z": "(-0.8+0j)"}, "terms_or_nodes": 0, "value": [0.734733331127636, 0.0]}'),
+    (("q", "--A", "1", "--B", "-0.5", "--beta", "1.5", "--z", "0.4+0.3i"),
+     '{"est_error": 3.59796202233893e-15, "input": {"A": 1.0, "B": -0.5, "beta": 1.5, '
+     '"target": "q", "z": "(0.4+0.3j)"}, "terms_or_nodes": 128, '
+     '"value": [1.373519044920815, 0.36329943999222314]}'),
+    (("h-bound", "--A", "1", "--B", "-1", "--beta", "0.75", "--z=-0.5+0.25i"),
+     '{"est_error": 1e-13, "input": {"A": 1.0, "B": -1.0, "beta": 0.75, "target": "h-bound", '
+     '"z": "(-0.5+0.25j)"}, "terms_or_nodes": 0, '
+     '"value": [0.6581618274765564, 0.12523188103874824]}'),
+]
+
+
+class TestEvalGolden:
+    @pytest.mark.parametrize("argv,expected", EVAL_GOLDEN, ids=[g[0][0] for g in EVAL_GOLDEN])
+    def test_stdout(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    def test_every_target_pinned(self):
+        assert {argv[0] for argv, _ in EVAL_GOLDEN} == set(cli.EVAL_TARGETS)
+
+    def test_struve_pole_is_numeric_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "struve-h", "--p", "-1.5", "--z", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error [pole]")
+
+
+class TestRejectedInput:
+    """Bad flag values exit 2 (usage) instead of crashing or printing NaN."""
+
+    @pytest.mark.parametrize("extra", [("--nodes", "0"), ("--nodes", "-4"), ("--beta", "1e-300")])
+    def test_invalid_quadrature_rule(self, capsys, extra):
+        argv = {"--A": "1", "--B": "0", "--beta": "1", "--z": "0.5"}
+        argv.update([extra])
+        code, out, err = run_cli(capsys, "eval", "q", *(x for kv in argv.items() for x in kv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error [parameter]")
+
+    @pytest.mark.parametrize("text", ["nan", "1e999", "nan+1i", "1-1e999i"])
+    def test_parse_complex_rejects_non_finite(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_complex(text)
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "struve-h", "--p", "nan", "--z", "1"),
+        ("eval", "f21", "--a", "nan", "--b", "1", "--c", "2", "--z", "0.5"),
+        ("eval", "q", "--A", "1", "--B", "0", "--beta", "inf", "--z", "0.5"),
+        ("eval", "h-bound", "--A", "nan", "--B", "0", "--beta", "1", "--z", "0.5"),
+        ("eval", "h-bound", "--A", "1", "--B=-1e999", "--beta", "1", "--z", "0.5"),
+        ("eval", "f21", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5", "--tol", "nan"),
+        ("member", "--coeffs", "unused.json", "--alpha", "nan"),
+        ("member", "--coeffs", "unused.json", "--mu", "inf"),
+        ("verify", "--suite", "radius", "--tol", "nan"),
+    ])
+    def test_non_finite_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_verify_needs_a_trial(self, capsys, trials):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--suite", "recurrence", "--trials", trials])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestMember:
     def test_identity_passes(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -208,6 +303,18 @@ class TestVerify:
         grand = records[-1]
         assert grand["summary"] is True
         assert grand["failed"] == 0
+
+    @pytest.mark.skipif(
+        (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+        reason="the pinned digest was recorded with numpy 2.4.6 and scipy 1.17.1",
+    )
+    def test_seed_one_digest_is_pinned(self, capsys):
+        # The refactor oracle: any change to a printed number changes this digest.
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7f549fdf7c83a84b5c12c1372ba82540fd3f7234a2990082b0d9d1389df708ed"
+        )
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

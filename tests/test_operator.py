@@ -6,8 +6,6 @@ from struveops import (
     PowerSeries,
     StruveParams,
     apply_s,
-    apply_s_modified,
-    apply_s_struve,
     hadamard,
     normalized_n_series,
     phi_series,
@@ -100,18 +98,23 @@ class TestApplyS:
         assert all(abs(x - y) <= 1e-14 * max(1.0, abs(x)) for x, y in zip(s_sum.coeffs, split))
 
 
+def struve_kernel(p, c):
+    """(b, c) = (1, 1) is the plain Struve kernel, (1, -1) the modified one; k = p + 3/2."""
+    return StruveParams(p, 1.0, c)
+
+
 class TestSpecializations:
     def test_struve_kernel_example(self):
-        out = apply_s_struve(0.5, PowerSeries((0, 1, 1)))
+        out = apply_s(struve_kernel(0.5, 1.0), PowerSeries((0, 1, 1)))
         assert abs(out[2] - (-1.0 / 12.0)) <= 1e-15
 
     def test_modified_kernel_flips_sign(self):
-        out = apply_s_modified(0.5, PowerSeries((0, 1, 1)))
+        out = apply_s(struve_kernel(0.5, -1.0), PowerSeries((0, 1, 1)))
         assert abs(out[2] - (1.0 / 12.0)) <= 1e-15
 
     def test_identity_passthrough(self):
-        assert apply_s_struve(0.5, PowerSeries.identity(4)) == PowerSeries.identity(4)
-        assert apply_s_modified(0.5, PowerSeries.identity(4)) == PowerSeries.identity(4)
+        for c in (1.0, -1.0):
+            assert apply_s(struve_kernel(0.5, c), PowerSeries.identity(4)) == PowerSeries.identity(4)
 
     @pytest.mark.parametrize("c", [1.0, -1.0])
     def test_recursion_against_operator_pair(self, c):
@@ -119,9 +122,8 @@ class TestSpecializations:
         rng = np.random.default_rng(13)
         p = 0.5
         f = random_normalized(rng, 24)
-        apply = apply_s_struve if c > 0 else apply_s_modified
-        lo = apply(p, f)
-        hi = apply(p + 1, f)
+        lo = apply_s(struve_kernel(p, c), f)
+        hi = apply_s(struve_kernel(p + 1, c), f)
         worst = max(
             abs(n * hi[n] - (p + 1.5) * lo[n] + (p + 0.5) * hi[n])
             for n in range(f.order + 1)

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from struveops import (
+    DominantParams,
+    HypergeomParams,
+    MobiusTarget,
+    ParameterError,
+    best_dominant_q,
+    f21_euler,
+    lower_bound_h_minus1,
+)
 from struveops.quadrature import RULE_CACHE_SIZE, jacobi_rule_01
 
 
@@ -45,3 +54,24 @@ def test_a_verify_suite_fits_in_the_cache(empty_cache):
     info = jacobi_rule_01.cache_info()
     assert info.currsize < RULE_CACHE_SIZE
     assert info.misses == info.currsize
+
+
+@pytest.mark.parametrize("n,alpha,beta", [
+    (0, 0.0, 0.0), (-3, 0.0, 0.0),
+    (8, -1.0, 0.0), (8, 0.0, -1.0), (8, float("nan"), 0.0),
+])
+def test_invalid_rules_are_parameter_errors(n, alpha, beta):
+    with pytest.raises(ParameterError):
+        jacobi_rule_01(n, alpha, beta)
+
+
+def test_every_quadrature_caller_gets_the_check():
+    tiny = DominantParams(1e-300, MobiusTarget(1.0, 0.0))  # beta - 1 rounds to -1
+    with pytest.raises(ParameterError):
+        best_dominant_q(DominantParams(1.0, MobiusTarget(1.0, 0.0)), 0.5, nodes=0)
+    with pytest.raises(ParameterError):
+        best_dominant_q(tiny, 0.5)
+    with pytest.raises(ParameterError):
+        lower_bound_h_minus1(tiny)
+    with pytest.raises(ParameterError):
+        f21_euler(HypergeomParams(1.0, 1e-300, 2.0), 0.5)

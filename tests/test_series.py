@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from struveops import (
     ParameterError,
     PowerSeries,
-    differentiate,
     evaluate,
     hadamard,
-    linear_combine,
 )
 
 finite_complex = st.complex_numbers(
@@ -93,21 +91,6 @@ class TestHadamard:
         )
 
 
-class TestDifferentiate:
-    def test_z(self):
-        assert differentiate(PowerSeries((0, 1))).coeffs == (1,)
-
-    def test_power_rule(self):
-        assert differentiate(PowerSeries((0, 1, 0, 4))).coeffs == (1, 0, 12)
-
-    def test_constant_at_order_one(self):
-        assert differentiate(PowerSeries((5, 0))).coeffs == (0,)
-
-    def test_order_zero_rejected(self):
-        with pytest.raises(ParameterError):
-            differentiate(PowerSeries((5,)))
-
-
 class TestEvaluate:
     def test_at_zero(self):
         assert evaluate(PowerSeries((0, 1, 1)), 0) == 0
@@ -129,20 +112,6 @@ class TestEvaluate:
 
 
 class TestLinearCombine:
-    def test_projections(self):
-        f = PowerSeries((0, 1, 2))
-        g = PowerSeries((0, 1, 7))
-        assert linear_combine(1, f, 0, g) == f
-        assert linear_combine(0.5, f, 0.5, f) == f
-
-    def test_direct_arithmetic(self):
-        f = PowerSeries((0, 1, 0))
-        g = PowerSeries((0, 1, 1))
-        out = linear_combine(0.3, f, 0.7, g)
-        assert out[0] == 0
-        assert abs(out[1] - 1.0) <= 1e-15
-        assert abs(out[2] - 0.7) <= 1e-15
-
     @settings(max_examples=60)
     @given(
         series_strategy(4),
@@ -152,6 +121,7 @@ class TestLinearCombine:
     )
     def test_evaluation_is_linear(self, f, g, a, b):
         z = complex(0.31, -0.42)
-        direct = evaluate(linear_combine(a, f, b, g), z)
+        combined = PowerSeries(tuple(a * x + b * y for x, y in zip(f.coeffs, g.coeffs)))
+        direct = evaluate(combined, z)
         split = a * evaluate(f, z) + b * evaluate(g, z)
         assert abs(direct - split) <= 1e-13 * max(1.0, abs(split))

@@ -14,7 +14,6 @@ from struveops import (
     generalized_m,
     normalized_n_series,
     ode_residual_n,
-    pochhammer,
     struve_h,
     struve_l,
 )
@@ -66,34 +65,6 @@ class TestGamma:
             lhs = gamma(z + 1)
             rhs = z * gamma(z)
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(1.5, 0) == 1
-
-    def test_three_halves_squared(self):
-        assert pochhammer(1.5, 2) == pytest.approx(15.0 / 4.0)
-
-    def test_single_step(self):
-        k = complex(2.3, -0.7)
-        assert pochhammer(k, 1) == k
-
-    def test_nonpositive_integer_hits_zero(self):
-        assert pochhammer(-2, 3) == 0
-
-    def test_product_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            g = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            m, n = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-            lhs = pochhammer(g, m + n)
-            rhs = pochhammer(g, m) * pochhammer(g + m, n)
-            assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ParameterError):
-            pochhammer(1.0, -1)
 
 
 class TestStruveH:
