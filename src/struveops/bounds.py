@@ -50,13 +50,6 @@ class DominantParams:
             raise ParameterError(f"beta must be finite, got {beta}")
         object.__setattr__(self, "beta", beta)
 
-    @classmethod
-    def from_ratio(cls, lam: float, mu: float, k: float,
-                   target: MobiusTarget) -> "DominantParams":
-        if lam == 0:
-            raise ParameterError("lambda = 0 leaves the exponent mu*k/lambda undefined")
-        return cls(mu * k / lam, target)
-
 
 def _settled_integral(beta: float, integrand: Callable, nodes: int, what: str, *args):
     """``beta * int_0^1 integrand(t) t^(beta-1) dt`` by Gauss-Jacobi quadrature.
@@ -114,18 +107,18 @@ def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> complex
     return A / B + (1.0 - A / B) * value / (1.0 + B * z)
 
 
-def lower_bound_h_minus1(dp: DominantParams, nodes: int = 192) -> float:
+def lower_bound_h_minus1(dp: DominantParams) -> float:
     """Radial limit ``h(-1) = beta int_0^1 (1-At)/(1-Bt) t^(beta-1) dt``.
 
     The integrand is bounded for every valid target: 1 - Bt only vanishes on
     [0, 1] when B = 1, which B < A <= 1 excludes (B = -1 gives 1 + t).  The
-    value is the infimum of Re h over the disk.
+    value, the infimum of Re h over the disk, takes 192 Gauss-Jacobi nodes.
     """
     if dp.beta <= 0:
         raise ParameterError(f"lower bound needs beta > 0, got {dp.beta}")
     A, B = dp.target.A, dp.target.B
     return float(_settled_integral(
-        dp.beta, lambda t: (1.0 - A * t) / (1.0 - B * t), nodes, "h(-1)"))
+        dp.beta, lambda t: (1.0 - A * t) / (1.0 - B * t), 192, "h(-1)"))
 
 
 def radius_positivity(lam: float, mu: float, k: float) -> float:
@@ -221,16 +214,15 @@ def q_starlike_certificate(A: float, B: float, grid_r: int = 50,
     )
 
 
-def re_bounds(dp: DominantParams, tol: float = 1e-13) -> tuple[float, float]:
+def re_bounds(dp: DominantParams) -> tuple[float, float]:
     """Extremes of ``Re`` of the dominated functional over the whole disk:
     :func:`modulus_bounds` at ``r = 1``.  For the half-plane target B = -1 the
     image is unbounded above and the upper bound is inf.
     """
-    return modulus_bounds(dp, 1.0, tol)
+    return modulus_bounds(dp, 1.0)
 
 
-def modulus_bounds(dp: DominantParams, r: float,
-                   tol: float = 1e-13) -> tuple[float, float]:
+def modulus_bounds(dp: DominantParams, r: float) -> tuple[float, float]:
     """Modulus extremes of the de-rotated functional on ``|z| <= r``:
 
         A/B + (1 - A/B) 2F1(1, beta, beta+1; +-B r)               (B != 0)
@@ -249,10 +241,10 @@ def modulus_bounds(dp: DominantParams, r: float,
         d = dp.beta / (dp.beta + 1.0) * A * r
         return 1.0 - d, 1.0 + d
     hp = HypergeomParams(1.0, dp.beta, dp.beta + 1.0)
-    lower = A / B + (1.0 - A / B) * f21(hp, B * r, tol).real
+    lower = A / B + (1.0 - A / B) * f21(hp, B * r).real
     if B * r == -1.0:
         return lower, math.inf
-    upper = A / B + (1.0 - A / B) * f21(hp, -B * r, tol).real
+    upper = A / B + (1.0 - A / B) * f21(hp, -B * r).real
     return lower, upper
 
 

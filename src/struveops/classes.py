@@ -186,14 +186,15 @@ def j_functional(cp: ClassParams, f: PowerSeries,
 def mobius_image_check(target: MobiusTarget, w: complex | np.ndarray) -> float | np.ndarray:
     """Signed margin of ``w`` against the target image boundary.
 
-    Disk targets: radius - |w - center|; half-plane: Re w - (1-A)/2.
-    Positive means interior.  An array of w gives an array of margins.
+    Disk targets: radius - |w - center| by ``np.hypot``, the same bits for a
+    scalar as for an array; half-plane: Re w - (1-A)/2.  Positive means
+    interior.  An array of w gives an array of margins.
     """
-    if not isinstance(w, np.ndarray):
-        w = complex(w)
+    w = np.asarray(w)
     if target.is_half_plane:
         return w.real - target.half_plane_edge
-    return target.radius - abs(w - target.center)
+    d = w - target.center
+    return target.radius - np.hypot(d.real, d.imag)
 
 
 def membership_samples(
@@ -229,12 +230,11 @@ def membership_samples(
     return z, value, margin
 
 
-def verdict_from_samples(z: np.ndarray, margin: np.ndarray,
-                         tol: float = CONTAINMENT_TOL) -> Verdict:
+def verdict_from_samples(z: np.ndarray, margin: np.ndarray) -> Verdict:
     """Min-reduce sampled margins; the first minimum is the witness."""
     i = int(np.argmin(margin))
     worst = float(margin[i])
-    passed = worst >= -tol
+    passed = worst >= -CONTAINMENT_TOL
     return Verdict(
         passed=passed,
         margin=worst,
@@ -248,16 +248,13 @@ def membership_test(
     f: PowerSeries,
     radii: Sequence[float] = DEFAULT_RADII,
     points_per_circle: int = 720,
-    tol: float = CONTAINMENT_TOL,
 ) -> Verdict:
     """Sample the de-rotated functional on circles and check containment."""
     z, _, margin = membership_samples(cp, f, radii, points_per_circle)
-    return verdict_from_samples(z, margin, tol)
+    return verdict_from_samples(z, margin)
 
 
-def lemma6_check(
-    inner: MobiusTarget, outer: MobiusTarget, tol: float = CONTAINMENT_TOL
-) -> Verdict:
+def lemma6_check(inner: MobiusTarget, outer: MobiusTarget) -> Verdict:
     """Certify that the inner Möbius image sits inside the outer one.
 
     Requires the nested ordering B_outer <= B_inner < A_inner <= A_outer;
@@ -284,7 +281,7 @@ def lemma6_check(
         margin = outer.radius - (abs(gap) + inner.radius)
         direction = 1.0 if gap >= 0 else -1.0
         witness = complex(inner.center + direction * inner.radius, 0.0)
-    passed = margin >= -tol
+    passed = margin >= -CONTAINMENT_TOL
     return Verdict(
         passed=passed,
         margin=margin,
@@ -298,39 +295,25 @@ def lemma3_check(
     f_vals: Sequence[complex],
     g_vals: Sequence[complex],
     sigma: float,
-    points: Optional[Sequence[complex]] = None,
-    tol: float = CONTAINMENT_TOL,
 ) -> Verdict:
     """Certify convex-combination containment on a shared sample set.
 
-    ``f_vals`` and ``g_vals`` are sampled values that must individually lie in
-    the target image (violations are precondition errors, not verdicts); the
-    verdict covers ``sigma*f + (1-sigma)*g``.  Convexity of the image makes
+    ``f_vals`` and ``g_vals`` are finite sampled values that must individually
+    lie in the target image (violations are precondition errors, not verdicts);
+    the verdict covers ``sigma*f + (1-sigma)*g``.  Convexity of the image makes
     this analytically guaranteed -- the check validates the sampling pipeline.
     """
     if not 0.0 <= sigma <= 1.0:
         raise ParameterError(f"sigma must lie in [0, 1], got {sigma}")
-    if len(f_vals) != len(g_vals):
-        raise ParameterError("sample sets must have equal length")
-    if points is not None and len(points) != len(f_vals):
-        raise ParameterError("points must match the sample sets in length")
-    for name, vals in (("f", f_vals), ("g", g_vals)):
-        worst = min(mobius_image_check(target, w) for w in vals)
-        if worst < -tol:
+    f = np.asarray(f_vals, dtype=complex)
+    g = np.asarray(g_vals, dtype=complex)
+    if f.shape != g.shape or not f.size or not np.isfinite([f, g]).all():
+        raise ParameterError("sample sets must be non-empty, finite and of equal length")
+    for name, vals in (("f", f), ("g", g)):
+        worst = mobius_image_check(target, vals).min()
+        if worst < -CONTAINMENT_TOL:
             raise ParameterError(
                 f"precondition violated: {name} leaves the target (margin {worst:g})"
             )
-    worst = math.inf
-    worst_at: Optional[complex] = None
-    for i, (fw, gw) in enumerate(zip(f_vals, g_vals)):
-        margin = mobius_image_check(target, sigma * fw + (1.0 - sigma) * gw)
-        if margin < worst:
-            worst = margin
-            worst_at = complex(points[i]) if points is not None else None
-    passed = worst >= -tol
-    return Verdict(
-        passed=passed,
-        margin=worst,
-        witness_z=None if passed else worst_at,
-        samples_used=len(f_vals),
-    )
+    worst = float(mobius_image_check(target, sigma * f + (1.0 - sigma) * g).min())
+    return Verdict(passed=worst >= -CONTAINMENT_TOL, margin=worst, samples_used=f.size)

@@ -8,8 +8,8 @@ Three subcommands:
 
 Reports are JSON, one object per line, on stdout; diagnostics go to stderr.
 Complex flag values are accepted as ``re+imi`` strings (``0.3+0.1i``, ``-2i``,
-``1.5``); values with a leading minus and an imaginary part need the
-``--z=-0.5+0.2i`` form so the shell token is not mistaken for a flag.
+``1.5``).  A negative value with an imaginary part or an exponent is read as
+a flag unless written in ``--flag=value`` form: ``--z=-0.5+0.2i``, ``--B=-1e-3``.
 Exit codes: 0 pass, 1 certified fail, 2 argument/usage error, 3 numeric error
 (the library's error kind is reported).
 
@@ -40,7 +40,7 @@ from .classes import (
     membership_samples,
     verdict_from_samples,
 )
-from .errors import NumericsError, ParameterError
+from .errors import DomainError, NumericsError, ParameterError
 from .hypergeom import HypergeomParams, f21
 from .operator import phi_series
 from .series import PowerSeries, evaluate
@@ -73,6 +73,14 @@ def finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """The type of ``--tol``: a finite float above 0."""
+    value = finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
@@ -156,6 +164,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ParameterError(f"eval {args.target} requires {', '.join(missing)}")
     value, est, count = compute(args)
     value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"eval {args.target} is not finite here: {value}")
     # Complex flags are echoed as their str(), real ones as numbers.
     inputs = {n: str(v) if isinstance(v, complex) else v for n, v in inputs.items()}
     _emit(
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--terms", type=int, default=64)
     p_eval.add_argument("--order", type=int, default=64)
     p_eval.add_argument("--nodes", type=int, default=128)
-    p_eval.add_argument("--tol", type=finite_float, default=1e-13)
+    p_eval.add_argument("--tol", type=positive_float, default=1e-13)
 
     p_member = sub.add_parser("member", help="test class membership of a series")
     p_member.add_argument("--coeffs", required=True,
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=positive_int, default=None)
-    p_verify.add_argument("--tol", type=finite_float, default=None)
+    p_verify.add_argument("--tol", type=positive_float, default=None)
 
     return parser
 

@@ -46,11 +46,11 @@ class PowerSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        """True when the series looks like ``z + a2 z^2 + ...``."""
+    def is_normalized(self) -> bool:
+        """True when the series is ``z + a2 z^2 + ...`` to within 1e-12."""
         if self.order < 1:
             return False
-        return abs(self.coeffs[0]) <= tol and abs(self.coeffs[1] - 1.0) <= tol
+        return abs(self.coeffs[0]) <= 1e-12 and abs(self.coeffs[1] - 1.0) <= 1e-12
 
     def to_pairs(self) -> list[list[float]]:
         """JSON form: one ``[re, im]`` pair per power of z, index = power."""

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, PoleError
+from .errors import DomainError, ParameterError, PoleError
 from .series import PowerSeries
 
 # 15-term Lanczos coefficient set (g = 607/128) for the right half-plane.
@@ -51,27 +51,36 @@ def cpow(w: complex, e: complex) -> complex:
     e = complex(e)
     if w == 0:
         raise PoleError("0 raised to a complex power has no principal value here")
-    return cmath.exp(e * cmath.log(w))
+    try:
+        return cmath.exp(e * cmath.log(w))
+    except OverflowError:
+        raise DomainError(f"{w}**{e} overflows double precision") from None
 
 
 def gamma(z: complex) -> complex:
     """Complex gamma via the 15-term Lanczos sum, reflection for Re z < 1/2.
 
-    Relative error is ~1e-13 away from the poles; the poles at the nonpositive
-    integers are rejected explicitly rather than returned as infinities.
+    Relative error is ~1e-13 away from the poles.  Poles at the nonpositive
+    integers raise PoleError and overflow raises DomainError, never infinities.
     """
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z.real:g}")
     if z.real < 0.5:
-        # gamma(z) gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        # gamma(z) gamma(1-z) = pi / sin(pi z); sin overflows once |Im z| > ~225
+        try:
+            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        except OverflowError:
+            raise DomainError(f"gamma overflows double precision at z = {z}") from None
     w = z - 1.0
     acc = complex(_LANCZOS_C[0])
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (w + i)
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * cpow(t, w + 0.5) * cmath.exp(-t) * acc
+    value = math.sqrt(2.0 * math.pi) * cpow(t, w + 0.5) * cmath.exp(-t) * acc
+    if not cmath.isfinite(value):
+        raise DomainError(f"gamma overflows double precision at z = {z}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,20 @@ class TestImageCheck:
     def test_outside_point_negative(self):
         assert mobius_image_check(MobiusTarget(1.0, 0.0), 2.5) == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("A,B", [(0.5, -0.5), (0.9, 0.3), (0.2, -0.99), (1.0, -1.0)])
+    def test_scalar_and_array_margins_share_bits(self, A, B):
+        # numpy's vectorised complex abs and Python's abs can differ in the
+        # last bit, so the scalar and array paths both take np.hypot.
+        t = MobiusTarget(A, B)
+        rng = np.random.default_rng(4)
+        c = 1.0 if t.is_half_plane else t.center
+        w = c + 2.0 * rng.uniform(0.0, 1.0, 10_000) * np.exp(2j * np.pi * rng.uniform(size=10_000))
+        array = mobius_image_check(t, w)
+        scalar = [mobius_image_check(t, complex(x)) for x in w]
+        assert array.tolist() == scalar
+        if not t.is_half_plane:  # the scalar path kept the bits of Python abs
+            assert scalar == [t.radius - abs(complex(x) - t.center) for x in w]
+
 
 class TestPowerMu:
     def test_one(self):
@@ -322,6 +336,17 @@ class TestLemma3:
         t = MobiusTarget(1.0, -1.0)
         with pytest.raises(ParameterError):
             lemma3_check(t, [1.0 + 0j], [1.0 + 0j], 1.5)
+
+    @pytest.mark.parametrize("f_vals,g_vals", [
+        ([math.nan], [1.0]),  # passed with margin inf: nan < worst is never true
+        ([1.0], [complex(1.0, math.inf)]),
+        ([1.0, math.nan], [1.0, 1.0]),
+        ([], []),  # min() of an empty sequence
+        ([1.0], [1.0, 1.0]),
+    ])
+    def test_bad_sample_sets_rejected(self, f_vals, g_vals):
+        with pytest.raises(ParameterError):
+            lemma3_check(MobiusTarget(0.5, -0.5), f_vals, g_vals, 0.5)
 
 
 def test_verdict_json_shape():

@@ -166,6 +166,19 @@ class TestEvalGolden:
         assert (code, out) == (3, "")
         assert err.startswith("error [pole]")
 
+    @pytest.mark.parametrize("argv,kind", [
+        (("struve-h", "--p", "0.5", "--z", "1e200"), "domain"),  # printed [NaN, NaN]
+        (("struve-m", "--p", "0.5", "--b", "1", "--c", "1e300", "--z", "0.5"), "domain"),
+        (("struve-n", "--p", "0.5", "--b", "1", "--c", "1e300", "--z", "0.5"), "domain"),
+        (("struve-h", "--p", "170", "--z", "1"), "domain"),  # OverflowError traceback
+        (("q", "--A", "1", "--B", "0", "--beta", "1100", "--z", "0.5"), "convergence"),
+        (("q", "--A", "1", "--B", "0", "--beta", "1e300", "--z", "0.5"), "convergence"),
+    ])
+    def test_non_finite_value_is_numeric_error(self, capsys, argv, kind):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error [{kind}]")
+
 
 class TestRejectedInput:
     """Bad flag values exit 2 (usage) instead of crashing or printing NaN."""
@@ -201,6 +214,23 @@ class TestRejectedInput:
             main(list(argv))
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "f21", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5", "--tol=-1"),
+        ("eval", "h-bound", "--A", "1", "--B", "0", "--beta", "1", "--z", "0.5", "--tol", "0"),
+        ("verify", "--suite", "radius", "--trials", "3", "--tol=-1"),
+        ("verify", "--suite", "radius", "--tol", "0"),
+    ])
+    def test_tol_must_be_positive(self, capsys, argv):
+        # eval summed 100,000 terms and exited 3; verify exited 1, "certified fail".
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_exponent_form_needs_equals(self, capsys):
+        argv = ("eval", "h-bound", "--A", "1", "--beta", "1", "--z", "0.5")
+        assert run_cli(capsys, *argv, "--B=-1e-3") == run_cli(capsys, *argv, "--B", "-0.001")
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_verify_needs_a_trial(self, capsys, trials):

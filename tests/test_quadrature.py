@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from struveops import (
+    ConvergenceError,
     DominantParams,
     HypergeomParams,
     MobiusTarget,
@@ -75,3 +78,20 @@ def test_every_quadrature_caller_gets_the_check():
         lower_bound_h_minus1(tiny)
     with pytest.raises(ParameterError):
         f21_euler(HypergeomParams(1.0, 1e-300, 2.0), 0.5)
+
+
+@pytest.mark.parametrize("beta", [1099.0, 1e5, 1e300])
+def test_rules_beyond_double_precision_are_convergence_errors(empty_cache, beta):
+    # scipy's weights overflow (inf or NaN) or its eigensolver raises ValueError.
+    with pytest.raises(ConvergenceError, match=re.escape(f"n=128, alpha=0.0, beta={beta}")):
+        jacobi_rule_01(128, 0.0, beta)
+
+
+def test_large_exponent_reaches_callers_as_convergence_error(empty_cache):
+    dp = DominantParams(1100.0, MobiusTarget(1.0, 0.0))
+    with pytest.raises(ConvergenceError):
+        best_dominant_q(dp, 0.5)  # returned NaN
+    with pytest.raises(ConvergenceError):
+        lower_bound_h_minus1(dp)
+    t, w = jacobi_rule_01(128, 0.0, 999.0)  # still representable
+    assert abs(w.sum() - 1e-3) < 1e-15

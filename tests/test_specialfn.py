@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from struveops import (
+    DomainError,
     ParameterError,
     PoleError,
     StruveParams,
@@ -53,6 +54,16 @@ class TestGamma:
     def test_poles_rejected(self, z):
         with pytest.raises(PoleError):
             gamma(z)
+
+    @pytest.mark.parametrize("z", [171.5, 1000.0, -0.5 + 300j, -180.5])
+    def test_overflow_is_domain_error(self, z):
+        # These raised OverflowError from cmath.exp (171.5) or cmath.sin (-0.5+300j).
+        with pytest.raises(DomainError):
+            gamma(z)
+
+    def test_struve_prefactor_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            struve_h(300, 1e3)
 
     def test_matches_libm_on_reals(self):
         for x in np.linspace(0.6, 20.0, 25):
