@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ConvergenceError, ParameterError
 
@@ -33,6 +32,8 @@ def jacobi_rule_01(n: int, alpha: float, beta: float):
         raise ParameterError(
             f"Gauss-Jacobi exponents must exceed -1, got alpha={alpha}, beta={beta}"
         )
+    from scipy.special import roots_jacobi  # on a cache miss only: a slow import
+
     with np.errstate(all="ignore"):
         try:
             x, w = roots_jacobi(n, alpha, beta)

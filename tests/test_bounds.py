@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from struveops import (
     ConvergenceError,
     DominantParams,
+    DomainError,
     MobiusTarget,
     ParameterError,
     best_dominant_q,
@@ -69,6 +70,68 @@ class TestBestDominantQ:
             best_dominant_q(dominant(1.0, 0.0, -1.0), 0.5)
 
 
+class TestBestDominantQArrays:
+    """One code path for a scalar and an array of z: same bits, same errors."""
+
+    @staticmethod
+    def scalar_outcome(dp, z, nodes):
+        try:
+            return repr(best_dominant_q(dp, z, nodes))
+        except ConvergenceError as exc:
+            return exc
+
+    @pytest.mark.parametrize("nodes", [8, 17, 128, 255])
+    def test_array_matches_scalar_calls_bit_for_bit(self, nodes):
+        rng = np.random.default_rng(20 + nodes)
+        for B in (-1.0, 0.0, float(rng.uniform(-0.95, 0.9)), float(rng.uniform(-0.95, 0.9))):
+            A = float(rng.uniform(B + 0.05 * (1.0 - B), 1.0))
+            for beta in (0.05, float(np.exp(rng.uniform(np.log(0.05), np.log(50.0)))), 50.0):
+                dp = dominant(A, B, beta)
+                zs = [r * cmath.exp(1j * t) for r, t in
+                      zip(rng.uniform(0.0, 0.95, 40), rng.uniform(0.0, 2.0 * math.pi, 40))]
+                outcomes = [self.scalar_outcome(dp, z, nodes) for z in zs]
+                failures = [o for o in outcomes if isinstance(o, ConvergenceError)]
+                if failures:
+                    with pytest.raises(ConvergenceError) as excinfo:
+                        best_dominant_q(dp, np.array(zs), nodes)
+                    assert str(excinfo.value) == str(failures[0])
+                    continue
+                values = best_dominant_q(dp, np.array(zs), nodes)
+                assert values.shape == (40,) and values.dtype == np.complex128
+                assert [repr(v) for v in values.tolist()] == outcomes
+
+    def test_scalar_in_complex_out_and_shape_kept(self):
+        dp = dominant(0.7, -0.4, 1.3)
+        assert type(best_dominant_q(dp, 0.5)) is complex
+        assert type(best_dominant_q(dp, np.complex128(0.5j))) is complex
+        grid = np.array([[0.1, 0.2j], [-0.3, 0.4 + 0.1j]])
+        values = best_dominant_q(dp, grid)
+        assert values.shape == (2, 2)
+        assert [repr(v) for v in values.ravel().tolist()] == [
+            repr(best_dominant_q(dp, z)) for z in grid.ravel().tolist()]
+
+    def test_domain_error_names_first_point_outside_in_input_order(self):
+        dp = dominant(1.0, -1.0, 1.0)
+        with pytest.raises(DomainError, match=r"\|z\| = 1\.5$"):
+            best_dominant_q(dp, np.array([0.1, 0.5j, 1.5, 2.0, complex("nan")]))
+        with pytest.raises(DomainError, match=r"\|z\| = nan$"):
+            best_dominant_q(dp, [0.1, complex("nan"), 2.0])
+        with pytest.raises(DomainError, match=r"\|z\| = 1$"):
+            best_dominant_q(dp, [0.1, -1.0])
+
+    def test_convergence_error_names_first_unsettled_point_in_input_order(self):
+        # 0.99999 has the largest gap, but 0.99 comes first.
+        dp = dominant(0.5, -1.0, 0.5)
+        with pytest.raises(ConvergenceError,
+                           match=r"q\(\(0\.99\+0j\)\) did not settle: 16 vs 8 nodes differ by 0\.139199"):
+            best_dominant_q(dp, np.array([0.1, -0.9999, 0.99, 0.99999]), nodes=16)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(0.5, math.nan), complex(math.nan, 0.0)])
+    def test_nan_point_is_domain_error(self, z):
+        with pytest.raises(DomainError, match="best dominant defined on"):
+            best_dominant_q(dominant(1.0, -1.0, 1.0), z)
+
+
 class TestSharpBoundH:
     def test_at_zero_both_branches(self):
         assert sharp_bound_h(dominant(1.0, 0.0, 1.0), 0.0) == 1.0
@@ -92,6 +155,12 @@ class TestSharpBoundH:
             for _ in range(10):
                 z = rng.uniform(0.05, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
                 assert abs(sharp_bound_h(dp, z) - best_dominant_q(dp, z)) <= 1e-9
+
+    @pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(0.5, math.nan), complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("B", [-1.0, 0.0, 0.5])
+    def test_nan_point_is_domain_error(self, z, B):
+        with pytest.raises(DomainError, match="sharp bound defined on"):
+            sharp_bound_h(dominant(1.0, B, 1.0), z)
 
 
 class TestLowerBoundHminus1:
@@ -353,3 +422,19 @@ def test_dominant_containment_in_target():
                 z = r * cmath.exp(2j * math.pi * j / 120)
                 margin = mobius_image_check(dp.target, best_dominant_q(dp, z))
                 assert margin >= -1e-9
+
+
+def test_run_dominant_evaluates_q_once_per_point_set(monkeypatch):
+    # One call for the agreement points and one per containment circle.
+    from struveops import suites
+
+    calls = []
+
+    def counted(dp, z, nodes=128):
+        calls.append(np.shape(z))
+        return best_dominant_q(dp, z, nodes)
+
+    monkeypatch.setattr(suites, "best_dominant_q", counted)
+    records = suites.run_dominant(seed=3, trials=4)
+    assert len(records) == 8
+    assert calls == [(50,), (240,), (240,), (240,), (240,)] * 4

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -429,3 +432,14 @@ def test_dump_matches_verdict(capsys, tmp_path):
     assert [float(first[0]), float(first[1])] == verdict["witness"]
     # repr round-trips, so every field reads back to the exact float
     assert all(repr(float(x)) == x for row in rows for x in row)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # The slow scipy imports wait for a Gauss-Jacobi rule build and the
+    # re-bounds oracle, so a cold `eval` that needs neither never pays them.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, struveops.cli; "
+             "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
