@@ -35,7 +35,6 @@ from .classes import (
     membership_samples,
     membership_test,
     mobius_image_check,
-    power_mu,
 )
 from .errors import (
     ConvergenceError,
@@ -114,7 +113,6 @@ __all__ = [
     "normalized_n_series",
     "ode_residual_n",
     "phi_series",
-    "power_mu",
     "q_starlike_certificate",
     "radius_factor",
     "radius_positivity",

@@ -59,12 +59,17 @@ def _settled_integral(beta: float, integrand: Callable, nodes: int,
     ``t``; any leading axes (the points z of q) give one integral each.  The
     node axis is reduced with ``np.vecdot``, which sums each row exactly as
     ``np.dot(w, row)`` does (``M @ w`` and ``einsum`` do not, in the last bit).
-    Evaluated with ``nodes`` and with ``max(8, nodes // 2)`` nodes; a mismatch
+    Evaluated with ``nodes`` and with ``nodes // 2`` nodes (so ``nodes`` must
+    be at least 2) and returned as ``(value, gap)``: the ``nodes``-node value
+    and the array ``|value - half|`` of the two rules' differences.  A gap
     beyond 1e-8 of the value scale at any point is reported as quadrature
     non-convergence of the integral ``label(i)``, for the first such point
     ``i`` in flat order (formatted only then).
     """
-    half_nodes = max(8, nodes // 2)
+    if nodes < 2:
+        raise ParameterError(f"a settled quadrature compares nodes with nodes // 2, "
+                             f"so it needs nodes >= 2, got {nodes}")
+    half_nodes = nodes // 2
     t, w = jacobi_rule_01(nodes, 0.0, beta - 1.0)
     full = beta * np.vecdot(w, integrand(t))
     t, w = jacobi_rule_01(half_nodes, 0.0, beta - 1.0)
@@ -78,20 +83,21 @@ def _settled_integral(beta: float, integrand: Callable, nodes: int,
                 f"quadrature for {label(i)} did not settle: {nodes} vs {half_nodes} "
                 f"nodes differ by {gap.flat[i]:g}"
             )
-    return full
+    return full, gap
 
 
-def best_dominant_q(dp: DominantParams, z: complex | np.ndarray,
-                    nodes: int = 128) -> complex | np.ndarray:
+def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 128
+                    ) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
     """The dominant ``beta * int_0^1 phi(zu) u^(beta-1) du`` inside the disk.
 
-    ``z`` is a scalar (the value is a ``complex``) or an array of points (the
-    value is a complex array of the same shape), evaluated in one pass over
-    (points x nodes); each value has the bits a scalar call gives it.
-    Evaluated twice (full and half node count); a mismatch beyond 1e-8 of the
-    value scale is reported as quadrature non-convergence, and a point not
-    strictly inside the disk (NaN included) as DomainError, each naming the
-    first offending z in input order.
+    Returns ``(q, gap)``, where ``gap`` is ``|q - q_half|``, the difference
+    from the ``nodes // 2``-node rule that the settle test compares with.
+    ``z`` is a scalar (a ``complex`` and a ``float``) or an array of points
+    (a complex and a float array of its shape), evaluated in one pass over
+    (points x nodes); each value has the bits a scalar call gives it.  A gap
+    beyond 1e-8 of the value scale is reported as quadrature non-convergence,
+    and a point not strictly inside the disk (NaN included) as DomainError,
+    each naming the first offending z in input order.
     """
     if dp.beta <= 0:
         raise ParameterError(f"best dominant needs beta > 0, got {dp.beta}")
@@ -100,14 +106,9 @@ def best_dominant_q(dp: DominantParams, z: complex | np.ndarray,
     if np.count_nonzero(outside):
         bad = complex(z.flat[np.flatnonzero(outside)[0]])
         raise DomainError(f"best dominant defined on |z| < 1, got |z| = {abs(bad):g}")
-    A, B = dp.target.A, dp.target.B
-
-    def phi_zu(t: np.ndarray) -> np.ndarray:
-        zu = z[..., None] * t
-        return (1.0 + A * zu) / (1.0 + B * zu)
-
-    q = _settled_integral(dp.beta, phi_zu, nodes, lambda i: f"q({complex(z.flat[i])})")
-    return complex(q) if z.ndim == 0 else q
+    q, gap = _settled_integral(dp.beta, lambda t: dp.target.phi(z[..., None] * t), nodes,
+                               lambda i: f"q({complex(z.flat[i])})")
+    return (complex(q), float(gap)) if z.ndim == 0 else (q, gap)
 
 
 def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> complex:
@@ -134,9 +135,8 @@ def lower_bound_h_minus1(dp: DominantParams) -> float:
     """
     if dp.beta <= 0:
         raise ParameterError(f"lower bound needs beta > 0, got {dp.beta}")
-    A, B = dp.target.A, dp.target.B
-    return float(_settled_integral(
-        dp.beta, lambda t: (1.0 - A * t) / (1.0 - B * t), 192, lambda i: "h(-1)"))
+    value, _ = _settled_integral(dp.beta, lambda t: dp.target.phi(-t), 192, lambda i: "h(-1)")
+    return float(value)
 
 
 def radius_positivity(lam: float, mu: float, k: float) -> float:
@@ -288,9 +288,9 @@ def briot_bouquet_target(A: float, B: float, lam: float, mu: float, k: float,
     ``statement_variant=True`` evaluates the transposed coefficient
     ``lambda mu / k`` for comparison.
     """
-    MobiusTarget(A, B)
+    target = MobiusTarget(A, B)
     if mu * k == 0:
         raise ParameterError("mu*k = 0 leaves the perturbation undefined")
     z = complex(z)
     coef = lam * mu / k if statement_variant else lam / (mu * k)
-    return (1.0 + A * z) / (1.0 + B * z) + coef * (A - B) * z / (1.0 + B * z) ** 2
+    return target.phi(z) + coef * (A - B) * z / (1.0 + B * z) ** 2

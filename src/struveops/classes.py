@@ -9,7 +9,6 @@ signed margin and a witness point on failure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -68,9 +67,12 @@ class MobiusTarget:
     def half_plane_edge(self) -> float:
         return (1.0 - self.A) / 2.0
 
-    def phi(self, z: complex) -> complex:
-        """The target map itself, ``(1+Az)/(1+Bz)``."""
-        z = complex(z)
+    def phi(self, z: complex | np.ndarray) -> complex | np.ndarray:
+        """The target map itself, ``(1+Az)/(1+Bz)``: the one implementation.
+
+        Takes a scalar or an array of z.  An array gives, bit for bit, what
+        numpy scalar calls give; Python ``complex`` division rounds its own way.
+        """
         return (1.0 + self.A * z) / (1.0 + self.B * z)
 
 
@@ -124,14 +126,6 @@ class ClassParams:
             raise ParameterError(f"|alpha| must be < pi/2, got {self.alpha}")
         if not 0.0 < self.mu < 1.0:
             raise ParameterError(f"mu must lie in (0, 1), got {self.mu}")
-
-
-def power_mu(w: complex, mu: float) -> complex:
-    """Principal-branch fractional power ``exp(mu Log w)``; rejects w = 0."""
-    w = complex(w)
-    if w == 0:
-        raise DomainError("fractional power of 0 rejected")
-    return cmath.exp(mu * cmath.log(w))
 
 
 def expression_evaluator(cp: ClassParams, f: PowerSeries) -> Callable:

@@ -131,13 +131,6 @@ def _dominant(args: argparse.Namespace) -> DominantParams:
     return DominantParams(args.beta, MobiusTarget(args.A, args.B))
 
 
-def _q(args: argparse.Namespace) -> tuple[complex, float, int]:
-    dp = _dominant(args)
-    value = best_dominant_q(dp, args.z, args.nodes)
-    coarse = best_dominant_q(dp, args.z, max(8, args.nodes // 2))
-    return value, abs(value - coarse), args.nodes
-
-
 #: eval target -> (required flags, which are also the ``input`` keys, and a
 #: function of the parsed arguments giving (value, error estimate, terms or nodes)).
 #: Library functions are looked up when called, so rebinding one is honoured.
@@ -150,7 +143,8 @@ EVAL_TARGETS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "f21": (("a", "b", "c", "z"), lambda a: (
         f21(HypergeomParams(a.a, a.b, a.c), a.z, a.tol), a.tol, 0)),
     "phi": (("p", "b", "c", "z"), lambda a: _truncated(phi_series(_struve(a), a.order), a)),
-    "q": (("A", "B", "beta", "z"), _q),
+    "q": (("A", "B", "beta", "z"), lambda a: (
+        *best_dominant_q(_dominant(a), a.z, a.nodes), a.nodes)),
     "h-bound": (("A", "B", "beta", "z"), lambda a: (
         sharp_bound_h(_dominant(a), a.z, a.tol), a.tol, 0)),
 }

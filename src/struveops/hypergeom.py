@@ -40,6 +40,10 @@ class HypergeomParams:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "c", complex(self.c))
+        if not all(map(cmath.isfinite, (self.a, self.b, self.c))):
+            raise ParameterError(
+                f"2F1 parameters must be finite, got a={self.a}, b={self.b}, c={self.c}"
+            )
         if is_nonpositive_integer(self.c):
             raise ParameterError(f"2F1 parameter c = {self.c} is a nonpositive integer")
 
@@ -53,7 +57,7 @@ def f21_series(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> complex:
     """
     z = complex(z)
     r = abs(z)
-    if r >= 1.0:
+    if not r < 1.0:  # NaN included
         raise DomainError(f"2F1 series needs |z| < 1, got |z| = {r:g}")
     a, b, c = hp.a, hp.b, hp.c
     gap = 1.0 - r
@@ -83,8 +87,8 @@ def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> complex:
         raise ParameterError(
             f"Euler integral needs Re c > Re b > 0, got b={b}, c={c}"
         )
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise DomainError(f"Euler integral undefined on the cut [1, oo): z = {z}")
+    if not cmath.isfinite(z) or (z.imag == 0.0 and z.real >= 1.0):
+        raise DomainError(f"Euler integral needs a finite z off the cut [1, oo), got z = {z}")
     t, w = jacobi_rule_01(nodes, c.real - b.real - 1.0, b.real - 1.0)
     f = np.exp(-a * np.log(1.0 - t * z))
     if b.imag != 0.0:

@@ -99,6 +99,10 @@ class StruveParams:
         object.__setattr__(self, "p", complex(self.p))
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "c", complex(self.c))
+        if not all(map(cmath.isfinite, (self.p, self.b, self.c))):
+            raise ParameterError(
+                f"Struve parameters must be finite, got p={self.p}, b={self.b}, c={self.c}"
+            )
         if is_nonpositive_integer(self.k):
             raise ParameterError(
                 f"k = p + (b+2)/2 = {self.k} is a nonpositive integer"
@@ -108,9 +112,9 @@ class StruveParams:
     def k(self) -> complex:
         return self.p + (self.b + 2.0) / 2.0
 
-    def shifted(self, dp: int = 1) -> "StruveParams":
-        """Same family with ``p -> p + dp`` (hence ``k -> k + dp``)."""
-        return StruveParams(self.p + dp, self.b, self.c)
+    def shifted(self) -> "StruveParams":
+        """Same family with ``p -> p + 1`` (hence ``k -> k + 1``)."""
+        return StruveParams(self.p + 1, self.b, self.c)
 
 
 def _m_series(p: complex, k: complex, c: complex, z: complex, terms: int) -> complex:
@@ -118,6 +122,8 @@ def _m_series(p: complex, k: complex, c: complex, z: complex, terms: int) -> com
     if terms < 1:
         raise ParameterError("terms must be >= 1")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Struve series needs a finite z, got {z}")
     if z == 0:
         return 0j
     w = z / 2.0

@@ -208,14 +208,14 @@ def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9,
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             zs.append(r * cmath.exp(1j * theta))
         worst = 0.0
-        for z, qz in zip(zs, best_dominant_q(dp, np.array(zs)).tolist()):
+        for z, qz in zip(zs, best_dominant_q(dp, np.array(zs))[0].tolist()):
             worst = max(worst, abs(sharp_bound_h(dp, z) - qz))
         records.append(
             _record("dominant", f"agreement-{i:02d}", worst <= tol,
                     value=worst, tol=tol,
                     params=_params(dp))
         )
-        q = np.concatenate([best_dominant_q(dp, z) for z in circles])
+        q = np.concatenate([best_dominant_q(dp, z)[0] for z in circles])
         margin = float(mobius_image_check(dp.target, q).min())
         records.append(
             _record("dominant", f"containment-{i:02d}", margin >= -1e-9,

@@ -44,11 +44,12 @@ def trapezoid_q(A, B, beta, z, panels=1_000_000):
 
 class TestBestDominantQ:
     def test_at_zero(self):
-        assert abs(best_dominant_q(dominant(1.0, -1.0, 1.0), 0.0) - 1.0) <= 1e-13
+        q, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.0)
+        assert abs(q - 1.0) <= 1e-13
 
     def test_b_zero_closed_form(self):
         for beta, A, z in ((1.0, 1.0, 0.5), (2.5, 0.7, -0.3), (0.4, 0.2, 0.25j)):
-            value = best_dominant_q(dominant(A, 0.0, beta), z)
+            value, _ = best_dominant_q(dominant(A, 0.0, beta), z)
             assert abs(value - (1.0 + beta / (beta + 1.0) * A * z)) <= 1e-12
 
     def test_unsettled_quadrature_is_convergence_error(self):
@@ -57,7 +58,7 @@ class TestBestDominantQ:
             best_dominant_q(dominant(0.5, -1.0, 0.5), 0.9999, nodes=16)
 
     def test_half_plane_against_trapezoid_oracle(self):
-        value = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
+        value, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
         oracle = trapezoid_q(1.0, -1.0, 1.0, 0.5)
         assert abs(value - oracle) <= 1e-9
         # same case has the elementary antiderivative -1 + 4 ln 2
@@ -76,7 +77,7 @@ class TestBestDominantQArrays:
     @staticmethod
     def scalar_outcome(dp, z, nodes):
         try:
-            return repr(best_dominant_q(dp, z, nodes))
+            return repr(best_dominant_q(dp, z, nodes)[0])
         except ConvergenceError as exc:
             return exc
 
@@ -96,19 +97,19 @@ class TestBestDominantQArrays:
                         best_dominant_q(dp, np.array(zs), nodes)
                     assert str(excinfo.value) == str(failures[0])
                     continue
-                values = best_dominant_q(dp, np.array(zs), nodes)
+                values, _ = best_dominant_q(dp, np.array(zs), nodes)
                 assert values.shape == (40,) and values.dtype == np.complex128
                 assert [repr(v) for v in values.tolist()] == outcomes
 
     def test_scalar_in_complex_out_and_shape_kept(self):
         dp = dominant(0.7, -0.4, 1.3)
-        assert type(best_dominant_q(dp, 0.5)) is complex
-        assert type(best_dominant_q(dp, np.complex128(0.5j))) is complex
+        assert type(best_dominant_q(dp, 0.5)[0]) is complex
+        assert type(best_dominant_q(dp, np.complex128(0.5j))[0]) is complex
         grid = np.array([[0.1, 0.2j], [-0.3, 0.4 + 0.1j]])
-        values = best_dominant_q(dp, grid)
+        values, _ = best_dominant_q(dp, grid)
         assert values.shape == (2, 2)
         assert [repr(v) for v in values.ravel().tolist()] == [
-            repr(best_dominant_q(dp, z)) for z in grid.ravel().tolist()]
+            repr(best_dominant_q(dp, z)[0]) for z in grid.ravel().tolist()]
 
     def test_domain_error_names_first_point_outside_in_input_order(self):
         dp = dominant(1.0, -1.0, 1.0)
@@ -132,6 +133,35 @@ class TestBestDominantQArrays:
             best_dominant_q(dominant(1.0, -1.0, 1.0), z)
 
 
+class TestBestDominantQGap:
+    """q comes with the full-vs-half gap its one integration measured."""
+
+    def test_gap_is_the_difference_from_the_half_rule(self):
+        rng = np.random.default_rng(808)
+        for _ in range(60):
+            B = float(rng.uniform(-1.0, 0.9))
+            A = float(rng.uniform(B + 0.05 * (1.0 - B), 1.0))
+            dp = dominant(A, B, float(np.exp(rng.uniform(np.log(0.1), np.log(20.0)))))
+            nodes = int(rng.integers(64, 256))  # the n // 2 call settles too
+            z = float(rng.uniform(0.0, 0.8)) * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
+            q, gap = best_dominant_q(dp, z, nodes)
+            coarse, _ = best_dominant_q(dp, z, nodes // 2)
+            assert type(gap) is float
+            assert repr(gap) == repr(abs(q - coarse))
+
+    def test_array_gap_has_the_shape_of_z(self):
+        dp = dominant(0.7, -0.4, 1.3)
+        grid = np.array([[0.1, 0.2j], [-0.3, 0.4 + 0.1j]])
+        q, gap = best_dominant_q(dp, grid)
+        assert q.shape == gap.shape == (2, 2) and gap.dtype == np.float64
+        assert gap.ravel().tolist() == [best_dominant_q(dp, z)[1] for z in grid.ravel().tolist()]
+
+    @pytest.mark.parametrize("nodes", [1, 0, -2])
+    def test_fewer_than_two_nodes_rejected(self, nodes):
+        with pytest.raises(ParameterError, match=f"nodes >= 2, got {nodes}"):
+            best_dominant_q(dominant(1.0, 0.0, 1.0), 0.5, nodes)
+
+
 class TestSharpBoundH:
     def test_at_zero_both_branches(self):
         assert sharp_bound_h(dominant(1.0, 0.0, 1.0), 0.0) == 1.0
@@ -142,7 +172,7 @@ class TestSharpBoundH:
 
     def test_matches_quadrature_representation(self):
         value = sharp_bound_h(dominant(1.0, -1.0, 1.0), 0.5)
-        other = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
+        other, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
         assert abs(value - other) <= 1e-9
 
     def test_agreement_on_seeded_points(self):
@@ -154,7 +184,7 @@ class TestSharpBoundH:
             dp = dominant(A, B, beta)
             for _ in range(10):
                 z = rng.uniform(0.05, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-                assert abs(sharp_bound_h(dp, z) - best_dominant_q(dp, z)) <= 1e-9
+                assert abs(sharp_bound_h(dp, z) - best_dominant_q(dp, z)[0]) <= 1e-9
 
     @pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(0.5, math.nan), complex(math.nan, 0.0)])
     @pytest.mark.parametrize("B", [-1.0, 0.0, 0.5])
@@ -420,7 +450,7 @@ def test_dominant_containment_in_target():
         for r in (0.3, 0.95):
             for j in range(120):
                 z = r * cmath.exp(2j * math.pi * j / 120)
-                margin = mobius_image_check(dp.target, best_dominant_q(dp, z))
+                margin = mobius_image_check(dp.target, best_dominant_q(dp, z)[0])
                 assert margin >= -1e-9
 
 

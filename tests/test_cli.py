@@ -155,6 +155,48 @@ EVAL_GOLDEN = [
 ]
 
 
+class TestEvalQOneQuadrature:
+    """``eval q`` integrates once and prints the gap that integration measured."""
+
+    def test_one_q_call_and_two_rule_lookups(self, capsys, monkeypatch):
+        from struveops import bounds
+
+        q_calls, rules = [], []
+        jacobi_rule_01 = bounds.jacobi_rule_01
+
+        def counted_q(*args, **kwargs):
+            q_calls.append(args)
+            return bounds.best_dominant_q(*args, **kwargs)
+
+        def counted_rule(n, alpha, beta):
+            rules.append(n)
+            return jacobi_rule_01(n, alpha, beta)
+
+        monkeypatch.setattr(cli, "best_dominant_q", counted_q)
+        monkeypatch.setattr(bounds, "jacobi_rule_01", counted_rule)
+        code, _, _ = run_cli(capsys, "eval", "q", "--A", "1", "--B", "0", "--beta", "1", "--z", "0.5")
+        assert code == 0
+        assert len(q_calls) == 1 and rules == [128, 64]
+
+    def test_settled_near_the_pole_matches_h_bound(self, capsys):
+        # The requested 128-vs-64 pair settles here and is the only one run:
+        # a coarser 64-vs-32 pair would not settle.
+        argv = ("--A", "1", "--B=-1", "--beta", "1", "--z", "0.99")
+        code_q, out_q, err_q = run_cli(capsys, "eval", "q", *argv)
+        assert (code_q, err_q) == (0, "")
+        code_h, out_h, _ = run_cli(capsys, "eval", "h-bound", *argv)
+        assert code_h == 0
+        assert abs(json.loads(out_q)["value"][0] - json.loads(out_h)["value"][0]) <= 1e-11
+
+    def test_eight_nodes_compare_with_four(self, capsys):
+        # The half rule must have fewer nodes: 8 against 8 reads a gap of 0
+        # for a value 0.35 off.
+        code, out, err = run_cli(capsys, "eval", "q", "--A", "1", "--B=-1", "--beta", "1",
+                                 "--z", "0.99", "--nodes", "8")
+        assert (code, out) == (3, "")
+        assert "8 vs 4 nodes" in err
+
+
 class TestEvalGolden:
     @pytest.mark.parametrize("argv,expected", EVAL_GOLDEN, ids=[g[0][0] for g in EVAL_GOLDEN])
     def test_stdout(self, capsys, argv, expected):
@@ -186,7 +228,8 @@ class TestEvalGolden:
 class TestRejectedInput:
     """Bad flag values exit 2 (usage) instead of crashing or printing NaN."""
 
-    @pytest.mark.parametrize("extra", [("--nodes", "0"), ("--nodes", "-4"), ("--beta", "1e-300")])
+    @pytest.mark.parametrize("extra", [("--nodes", "0"), ("--nodes", "-4"), ("--beta", "1e-300"),
+                                       ("--nodes", "1")])
     def test_invalid_quadrature_rule(self, capsys, extra):
         argv = {"--A": "1", "--B": "0", "--beta": "1", "--z": "0.5"}
         argv.update([extra])

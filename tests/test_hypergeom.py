@@ -160,6 +160,24 @@ class TestDispatcher:
             assert abs(value - (1.0 - z) ** (-a)) <= 1e-11
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFinite:
+    """Non-finite input raises instead of returning NaN or summing to the cap."""
+
+    @pytest.mark.parametrize("abc", [(INF, 1, 2), (1, NAN, 2), (1, 1, INF), (1, 1, complex(2, NAN))])
+    def test_params_rejected(self, abc):
+        with pytest.raises(ParameterError, match="2F1 parameters must be finite"):
+            HypergeomParams(*abc)
+
+    @pytest.mark.parametrize("z", [NAN, complex(0.2, NAN), complex(NAN, 0.0), INF])
+    @pytest.mark.parametrize("route", [f21_series, f21_euler, f21_pfaff, f21])
+    def test_z_is_domain_error(self, route, z):
+        with pytest.raises(DomainError):
+            route(HypergeomParams(1, 1, 2), z)
+
+
 def test_three_way_agreement_sample():
     rng = np.random.default_rng(31)
     for _ in range(15):

@@ -18,6 +18,7 @@ from struveops import (
     struve_h,
     struve_l,
 )
+from struveops.specialfn import cpow
 
 
 def mp_struve_sum(p, z, sign, terms=200, dps=50):
@@ -34,6 +35,21 @@ def mp_struve_sum(p, z, sign, terms=200, dps=50):
                 / (mpmath.gamma(n + mpmath.mpf(3) / 2) * mpmath.gamma(p + n + mpmath.mpf(3) / 2))
             )
         return complex(total)
+
+
+class TestCpow:
+    def test_one(self):
+        assert cpow(1.0, 0.7) == 1
+
+    def test_principal_square_root(self):
+        assert cpow(4.0, 0.5) == pytest.approx(2.0)
+
+    def test_imaginary_base(self):
+        assert cpow(1j, 0.5) == pytest.approx(cmath.exp(1j * math.pi / 4.0))
+
+    def test_zero_rejected(self):
+        with pytest.raises(PoleError):
+            cpow(0.0, 0.5)
 
 
 class TestGamma:
@@ -129,6 +145,26 @@ class TestGeneralizedM:
 
     def test_zero_argument(self):
         assert generalized_m(StruveParams(0.5, 1.0, 2.0), 0.0) == 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFinite:
+    """Non-finite input raises instead of returning NaN."""
+
+    @pytest.mark.parametrize("pbc", [(INF, 1, 1), (-INF, 1, 1), (0.5, NAN, 1), (0.5, 1, NAN),
+                                     (0.5, 1, complex(1, INF))])
+    def test_params_rejected(self, pbc):
+        with pytest.raises(ParameterError, match="Struve parameters must be finite"):
+            StruveParams(*pbc)
+
+    @pytest.mark.parametrize("z", [NAN, complex(0.5, NAN), INF, complex(-INF, 1.0)])
+    def test_z_is_domain_error(self, z):
+        for value in (lambda: struve_h(0.5, z), lambda: struve_l(0.5, z),
+                      lambda: generalized_m(StruveParams(0.5, 1, 1), z)):
+            with pytest.raises(DomainError, match="Struve series needs a finite z"):
+                value()
 
 
 class TestStruveParams:
