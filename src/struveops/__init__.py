@@ -52,19 +52,21 @@ from .hypergeom import (
 )
 from .operator import (
     apply_s,
+    phi,
     phi_series,
     recurrence_residual,
 )
 from .series import (
     DEFAULT_ORDER,
     PowerSeries,
-    evaluate,
     hadamard,
+    ratio_sum,
 )
 from .specialfn import (
     StruveParams,
     gamma,
     generalized_m,
+    normalized_n,
     normalized_n_series,
     ode_residual_n,
     struve_h,
@@ -93,7 +95,6 @@ __all__ = [
     "best_dominant_q",
     "bound_report",
     "briot_bouquet_target",
-    "evaluate",
     "expression_evaluator",
     "f21",
     "f21_euler",
@@ -110,12 +111,15 @@ __all__ = [
     "membership_test",
     "mobius_image_check",
     "modulus_bounds",
+    "normalized_n",
     "normalized_n_series",
     "ode_residual_n",
+    "phi",
     "phi_series",
     "q_starlike_certificate",
     "radius_factor",
     "radius_positivity",
+    "ratio_sum",
     "re_bounds",
     "re_zqprime_over_q",
     "recurrence_residual",

@@ -30,6 +30,7 @@ from .classes import MobiusTarget, Verdict
 from .errors import ConvergenceError, DomainError, ParameterError
 from .hypergeom import HypergeomParams, f21
 from .quadrature import jacobi_rule_01
+from .series import Result, gamma_n
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,10 @@ def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 12
     return (complex(q), float(gap)) if z.ndim == 0 else (q, gap)
 
 
-def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> complex:
-    """Closed form of the best dominant (see module docstring)."""
+def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
+    """Closed form of the best dominant (see module docstring), as
+    ``(value, est_error, terms)``: the 2F1 bound scaled by its factor, plus
+    the rounding of the closed form around it."""
     if dp.beta <= 0:
         raise ParameterError(f"sharp bound needs beta > 0, got {dp.beta}")
     z = complex(z)
@@ -120,10 +123,13 @@ def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> complex
         raise DomainError(f"sharp bound defined on |z| < 1, got |z| = {abs(z):g}")
     A, B = dp.target.A, dp.target.B
     if B == 0.0:
-        return 1.0 + dp.beta / (dp.beta + 1.0) * A * z
+        d = dp.beta / (dp.beta + 1.0) * A * z
+        return 1.0 + d, gamma_n(4) * (1.0 + abs(d)), 0
     w = B * z / (1.0 + B * z)
-    value = f21(HypergeomParams(1.0, 1.0, dp.beta + 1.0), w, tol)
-    return A / B + (1.0 - A / B) * value / (1.0 + B * z)
+    value, est, terms = f21(HypergeomParams(1.0, 1.0, dp.beta + 1.0), w, tol)
+    h = A / B + (1.0 - A / B) * value / (1.0 + B * z)
+    scale = abs(1.0 - A / B) / abs(1.0 + B * z)
+    return h, scale * est + gamma_n(8) * (abs(A / B) + scale * abs(value)), terms
 
 
 def lower_bound_h_minus1(dp: DominantParams) -> float:
@@ -259,10 +265,10 @@ def modulus_bounds(dp: DominantParams, r: float) -> tuple[float, float]:
         d = dp.beta / (dp.beta + 1.0) * A * r
         return 1.0 - d, 1.0 + d
     hp = HypergeomParams(1.0, dp.beta, dp.beta + 1.0)
-    lower = A / B + (1.0 - A / B) * f21(hp, B * r).real
+    lower = A / B + (1.0 - A / B) * f21(hp, B * r)[0].real
     if B * r == -1.0:
         return lower, math.inf
-    upper = A / B + (1.0 - A / B) * f21(hp, -B * r).real
+    upper = A / B + (1.0 - A / B) * f21(hp, -B * r)[0].real
     return lower, upper
 
 

@@ -42,9 +42,9 @@ from .classes import (
 )
 from .errors import DomainError, NumericsError, ParameterError
 from .hypergeom import HypergeomParams, f21
-from .operator import phi_series
-from .series import PowerSeries, evaluate
-from .specialfn import StruveParams, generalized_m, normalized_n_series, struve_h, struve_l
+from .operator import phi
+from .series import PowerSeries
+from .specialfn import StruveParams, generalized_m, normalized_n, struve_h, struve_l
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -108,21 +108,6 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _refined(value_at: Callable) -> Callable:
-    """Series value at ``--terms`` terms; the estimate is its change at twice as many."""
-    def compute(args: argparse.Namespace) -> tuple[complex, float, int]:
-        value = value_at(args, args.terms)
-        return value, abs(value - value_at(args, 2 * args.terms)), args.terms
-    return compute
-
-
-def _truncated(series: PowerSeries, args: argparse.Namespace) -> tuple[complex, float, int]:
-    """Horner value at ``--z`` of a series of order ``--order``, with its tail estimate."""
-    r = abs(args.z)
-    tail = abs(series[series.order]) * r**series.order / (1.0 - r) if r < 1.0 else math.nan
-    return evaluate(series, args.z), tail, args.order
-
-
 def _struve(args: argparse.Namespace) -> StruveParams:
     return StruveParams(args.p, args.b, args.c)
 
@@ -135,18 +120,15 @@ def _dominant(args: argparse.Namespace) -> DominantParams:
 #: function of the parsed arguments giving (value, error estimate, terms or nodes)).
 #: Library functions are looked up when called, so rebinding one is honoured.
 EVAL_TARGETS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "struve-h": (("p", "z"), _refined(lambda a, n: struve_h(a.p, a.z, n))),
-    "struve-l": (("p", "z"), _refined(lambda a, n: struve_l(a.p, a.z, n))),
-    "struve-m": (("p", "b", "c", "z"), _refined(lambda a, n: generalized_m(_struve(a), a.z, n))),
-    "struve-n": (("p", "b", "c", "z"),
-                 lambda a: _truncated(normalized_n_series(_struve(a), a.order), a)),
-    "f21": (("a", "b", "c", "z"), lambda a: (
-        f21(HypergeomParams(a.a, a.b, a.c), a.z, a.tol), a.tol, 0)),
-    "phi": (("p", "b", "c", "z"), lambda a: _truncated(phi_series(_struve(a), a.order), a)),
+    "struve-h": (("p", "z"), lambda a: struve_h(a.p, a.z, a.tol)),
+    "struve-l": (("p", "z"), lambda a: struve_l(a.p, a.z, a.tol)),
+    "struve-m": (("p", "b", "c", "z"), lambda a: generalized_m(_struve(a), a.z, a.tol)),
+    "struve-n": (("p", "b", "c", "z"), lambda a: normalized_n(_struve(a), a.z, a.tol)),
+    "f21": (("a", "b", "c", "z"), lambda a: f21(HypergeomParams(a.a, a.b, a.c), a.z, a.tol)),
+    "phi": (("p", "b", "c", "z"), lambda a: phi(_struve(a), a.z, a.tol)),
     "q": (("A", "B", "beta", "z"), lambda a: (
         *best_dominant_q(_dominant(a), a.z, a.nodes), a.nodes)),
-    "h-bound": (("A", "B", "beta", "z"), lambda a: (
-        sharp_bound_h(_dominant(a), a.z, a.tol), a.tol, 0)),
+    "h-bound": (("A", "B", "beta", "z"), lambda a: sharp_bound_h(_dominant(a), a.z, a.tol)),
 }
 
 
@@ -167,7 +149,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "input": {"target": args.target, **inputs},
             "value": [value.real, value.imag],
             "terms_or_nodes": count,
-            "est_error": None if not math.isfinite(est) else est,
+            "est_error": est,
         }
     )
     return EXIT_OK
@@ -272,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--A", type=finite_float)
     p_eval.add_argument("--B", type=finite_float)
     p_eval.add_argument("--beta", type=finite_float)
-    p_eval.add_argument("--terms", type=int, default=64)
-    p_eval.add_argument("--order", type=int, default=64)
     p_eval.add_argument("--nodes", type=int, default=128)
     p_eval.add_argument("--tol", type=positive_float, default=1e-13)
 

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .quadrature import jacobi_rule_01
-from .specialfn import cpow, gamma, is_nonpositive_integer
-
-MAX_TERMS = 100_000
+from .series import Result, ratio_sum, scaled
+from .specialfn import cpow, gamma, is_nonpositive_integer, power_rtol
 
 
 @dataclass(frozen=True)
@@ -48,29 +47,18 @@ class HypergeomParams:
             raise ParameterError(f"2F1 parameter c = {self.c} is a nonpositive integer")
 
 
-def f21_series(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> complex:
-    """Partial sum of ``sum (a)_n (b)_n z^n / ((c)_n n!)`` on |z| < 1.
+def f21_series(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
+    """``sum (a)_n (b)_n z^n / ((c)_n n!)`` on |z| < 1 by ``ratio_sum``.
 
-    Summation stops once the tail estimate |term| / (1 - |z|) drops below
-    ``tol``; a hard cap guards against |z| so close to 1 that the estimate
-    never does.
+    Returns ``(value, est_error, terms)``.  Summation stops once
+    |term| / (1 - |z|) drops below ``tol``.
     """
     z = complex(z)
     r = abs(z)
     if not r < 1.0:  # NaN included
         raise DomainError(f"2F1 series needs |z| < 1, got |z| = {r:g}")
     a, b, c = hp.a, hp.b, hp.c
-    gap = 1.0 - r
-    term = 1 + 0j
-    total = term
-    for n in range(MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) / gap < tol:
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not reach tol={tol:g} within {MAX_TERMS} terms at z={z}"
-    )
+    return ratio_sum(1 + 0j, lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z, r, tol)
 
 
 def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> complex:
@@ -99,12 +87,12 @@ def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> complex:
     return gamma(c) / (gamma(c - b) * gamma(b)) * integral
 
 
-def f21_pfaff(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> complex:
+def f21_pfaff(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
     """Pfaff transformation ``(1-z)^(-a) 2F1(a, c-b, c; z/(z-1))``.
 
     Defined whenever the transformed argument lies in the unit disk, i.e. for
     Re z < 1/2; this is how arguments approaching -1 (and past it) stay at
-    geometric convergence.
+    geometric convergence.  Returns ``(value, est_error, terms)``.
     """
     z = complex(z)
     if z == 1.0:
@@ -115,12 +103,12 @@ def f21_pfaff(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> complex:
             f"Pfaff argument z/(z-1) = {w} outside the unit disk (needs Re z < 1/2)"
         )
     inner = f21_series(HypergeomParams(hp.a, hp.c - hp.b, hp.c), w, tol)
-    return cpow(1.0 - z, -hp.a) * inner
+    return scaled(cpow(1.0 - z, -hp.a), power_rtol(1.0 - z, -hp.a), inner)
 
 
-def f21(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> complex:
+def f21(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
     """Dispatcher: series for small |z|, Pfaff wherever it converges, series
-    again on the rest of the unit disk.
+    again on the rest of the unit disk; returns the route's result.
 
     Covers every z with |z| < 1 plus the analytic continuation onto
     Re z < 1/2; arguments with |z| >= 1 and Re z >= 1/2 are rejected.

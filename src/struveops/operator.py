@@ -12,8 +12,8 @@ b held fixed.
 from __future__ import annotations
 
 from .errors import ParameterError
-from .series import DEFAULT_ORDER, PowerSeries, hadamard
-from .specialfn import StruveParams, normalized_n_series
+from .series import DEFAULT_ORDER, PowerSeries, Result, gamma_n, hadamard, scaled
+from .specialfn import StruveParams, normalized_n, normalized_n_series
 
 
 def phi_series(params: StruveParams, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -22,6 +22,11 @@ def phi_series(params: StruveParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     The kernel is ``z`` times the normalized series, ``phi(z) = z N(z)``.
     """
     return PowerSeries((0,) + normalized_n_series(params, order).coeffs[:-1])
+
+
+def phi(params: StruveParams, z: complex, tol: float = 1e-13) -> Result:
+    """The kernel ``phi(z) = z N(z)`` at one point, as ``(value, est_error, terms)``."""
+    return scaled(complex(z), gamma_n(3), normalized_n(params, z, tol))
 
 
 def apply_s(params: StruveParams, f: PowerSeries) -> PowerSeries:

@@ -4,18 +4,26 @@ A series is a finite coefficient tuple ``c0..cN`` read as ``sum c_n z^n`` on
 the unit disk.  Combining two series of different lengths truncates to the
 shorter order; nothing is ever zero-extended, so any coefficient you read back
 was actually computed.  All values are immutable and all operations are pure.
+
+``ratio_sum`` is the one loop that sums an infinite series from its first term
+and term ratio, with a bound on its own error; ``scaled`` applies a factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, PoleError
 
 #: Default truncation order.  Coefficients of the operator kernels decay
 #: factorially, so 64 terms leave residuals far below 1e-12 for |z| <= 0.95.
 DEFAULT_ORDER = 64
+#: Most terms ``ratio_sum`` adds before it gives up.
+MAX_TERMS = 100_000
+#: ``(value, est_error, terms)``: what every series evaluator returns.
+Result = tuple[complex, float, int]
 
 
 @dataclass(frozen=True)
@@ -73,14 +81,56 @@ def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(f.coeffs[i] * g.coeffs[i] for i in range(n + 1)))
 
 
-def evaluate(f: PowerSeries, z: complex) -> complex:
-    """Horner evaluation at ``z``; exact for polynomials of degree <= order.
+def gamma_n(n: int) -> float:
+    """Higham's rounding constant ``n u / (1 - n u)``, ``u`` the unit roundoff 2^-53."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
 
-    Arguments with ``|z| >= 1`` are not rejected, but the truncation error of
-    a genuinely infinite series grows without bound there.
+
+def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: float) -> Result:
+    """Sum ``t_0 = first``, ``t_(n+1) = t_n * ratio(n)`` up to the first ``t_N``
+    with ``|t_N| / (1 - rho) < tol``; ``rho < 1`` is the limit of ``|ratio(n)|``.
+
+    Returns ``(sum, est_error, N + 1)``.  ``est_error`` is the rounding bound
+    ``gamma_(8N) sum |t_n|`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §4.2) plus the tail bound ``|t_N| r / (1 - r)``, ``r`` the
+    larger of ``rho`` and ``|ratio(N - 1)|`` (Johansson, ACM TOMS 45(3), 2019).
+    A zero denominator in ``ratio`` raises PoleError and a non-finite term
+    DomainError; ConvergenceError means MAX_TERMS terms did not reach ``tol``,
+    or a nonzero bound not below ``|sum|``: no digit of the sum is right.
     """
-    z = complex(z)
-    acc = 0j
-    for c in reversed(f.coeffs):
-        acc = acc * z + c
-    return acc
+    if not tol > 0.0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
+    gap = 1.0 - rho
+    term = total = complex(first)
+    size = abs(term)
+    try:
+        for n in range(MAX_TERMS):
+            term *= ratio(n)
+            total += term
+            mag = abs(term)
+            size += mag
+            if mag / gap < tol:
+                break
+            if not size < math.inf:  # an infinite or NaN term never stops the loop
+                raise DomainError(f"series term {n + 1} is not finite: {term}")
+        else:
+            raise ConvergenceError(f"series did not reach tol={tol:g} within {MAX_TERMS} terms")
+        r = ratio(n)
+    except ZeroDivisionError:
+        raise PoleError(f"zero denominator in the ratio of term {n + 1} to term {n}") from None
+    last = max(abs(r), rho)
+    tail = mag * last / (1.0 - last) if last < 1.0 else (math.inf if mag else 0.0)
+    est = gamma_n(8 * (n + 1)) * size + tail
+    if est and not est < abs(total):
+        raise ConvergenceError(f"no correct digit: error bound {est:g} >= |sum| "
+                               f"{abs(total):g} after {n + 2} terms")
+    return total, est, n + 2
+
+
+def scaled(factor: complex, rtol: float, result: Result) -> Result:
+    """``factor`` times ``result``, adding the factor's own relative error
+    ``rtol`` to the bound."""
+    value, est, terms = result
+    value = factor * value
+    return value, abs(factor) * est + abs(value) * rtol, terms

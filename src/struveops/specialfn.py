@@ -1,11 +1,11 @@
 """Gamma and the Struve function family.
 
 The Struve functions H_p and L_p are the generalized family at
-``(b, c) = (1, +-1)``, so all three are summed by one series; the normalized
-kernel series is that family rescaled (see ``normalized_n_series``).  Each
-n-th term is obtained from the previous one by a rational ratio, so no large
-gamma values are ever formed and overflow cannot occur even for hundreds of
-terms.  Fractional powers use the principal branch throughout,
+``(b, c) = (1, +-1)`` and the normalized kernel N is that family rescaled
+(see ``normalized_n_series``), so all four are one kernel sum
+``sum x^n / ((3/2)_n (k)_n)`` by ``series.ratio_sum`` and return
+``(value, est_error, terms)``; no large gamma value is ever formed.
+Fractional powers use the principal branch throughout,
 ``w**e = exp(e Log w)`` with Log the principal logarithm; arguments are kept
 off the negative real axis by the callers that care.
 """
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError, PoleError
-from .series import PowerSeries
+from .series import PowerSeries, Result, gamma_n, ratio_sum, scaled
 
 # 15-term Lanczos coefficient set (g = 607/128) for the right half-plane.
 _LANCZOS_G = 607.0 / 128.0
@@ -39,6 +39,9 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
+#: Relative error of ``gamma`` away from its poles.
+GAMMA_RTOL = 1e-13
+
 
 def is_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
@@ -57,10 +60,16 @@ def cpow(w: complex, e: complex) -> complex:
         raise DomainError(f"{w}**{e} overflows double precision") from None
 
 
+def power_rtol(w: complex, e: complex) -> float:
+    """Relative error bound of ``cpow(w, e)``: the roundings of ``w``, ``Log w``,
+    ``e Log w`` and ``exp``, as ``exp(e Log w)`` amplifies them."""
+    return gamma_n(4) * (1.0 + abs(e) + 2.0 * abs(e * cmath.log(w)))
+
+
 def gamma(z: complex) -> complex:
     """Complex gamma via the 15-term Lanczos sum, reflection for Re z < 1/2.
 
-    Relative error is ~1e-13 away from the poles.  Poles at the nonpositive
+    Relative error is ~1e-13 (GAMMA_RTOL) away from the poles.  Poles at the nonpositive
     integers raise PoleError and overflow raises DomainError, never infinities.
     """
     z = complex(z)
@@ -117,47 +126,58 @@ class StruveParams:
         return StruveParams(self.p + 1, self.b, self.c)
 
 
-def _m_series(p: complex, k: complex, c: complex, z: complex, terms: int) -> complex:
-    """``sum (-1)^n c^n (z/2)^(2n+p+1) / (G(n+3/2) G(k+n))`` over ``terms`` terms."""
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
+def _growth(k: complex, n: int) -> complex:
+    """``(n + 1/2)(k + n - 1)``: ``(3/2)_n (k)_n`` over its value at ``n - 1``.
+    Rounded as written, so it is 0 for ``k`` within rounding of a pole of
+    ``G(k)`` (``(k + 1) - 1`` is 0 at ``k = 1e-17``)."""
+    return (n + 0.5) * (k + n - 1.0)
+
+
+def _kernel_sum(k: complex, x: complex, tol: float) -> Result:
+    """``sum x^n / ((3/2)_n (k)_n)``, the series behind M and N."""
+    return ratio_sum(1 + 0j, lambda n: x / _growth(k, n + 1), 0.0, tol)
+
+
+def _m_sum(p: complex, k: complex, c: complex, z: complex, tol: float) -> Result:
+    """``(z/2)^(p+1) / (G(3/2) G(k))`` times the kernel sum at ``x = -c (z/2)^2``."""
+    if not cmath.isfinite(p):
+        raise ParameterError(f"Struve order p must be finite, got p={p}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Struve series needs a finite z, got {z}")
     if z == 0:
-        return 0j
+        return 0j, 0.0, 0
     w = z / 2.0
-    term = cpow(w, p + 1.0) / (gamma(1.5) * gamma(k))
-    total = term
-    ratio = -c * w * w
-    for n in range(1, terms):
-        denom = (n + 0.5) * (k + n - 1.0)
-        if denom == 0:
-            raise PoleError(f"gamma pole encountered at series index n = {n}")
-        term *= ratio / denom
-        total += term
-    return total
+    factor = cpow(w, p + 1.0) / (gamma(1.5) * gamma(k))
+    rtol = power_rtol(w, p + 1.0) + 2.0 * GAMMA_RTOL
+    return scaled(factor, rtol, _kernel_sum(k, -c * w * w, tol))
 
 
-def struve_h(p: complex, z: complex, terms: int = 64) -> complex:
+def struve_h(p: complex, z: complex, tol: float = 1e-13) -> Result:
     """Struve function: ``sum (-1)^n (z/2)^(2n+p+1) / (G(n+3/2) G(p+n+3/2))``.
 
     The generalized family at ``(b, c) = (1, 1)``; a pole of ``G(p+3/2)``
-    raises PoleError.
+    raises PoleError.  Returns ``(value, est_error, terms)``.
     """
     p = complex(p)
-    return _m_series(p, p + 1.5, 1 + 0j, z, terms)
+    return _m_sum(p, p + 1.5, 1 + 0j, z, tol)
 
 
-def struve_l(p: complex, z: complex, terms: int = 64) -> complex:
+def struve_l(p: complex, z: complex, tol: float = 1e-13) -> Result:
     """Modified Struve function: the generalized family at ``(b, c) = (1, -1)``."""
     p = complex(p)
-    return _m_series(p, p + 1.5, -1 + 0j, z, terms)
+    return _m_sum(p, p + 1.5, -1 + 0j, z, tol)
 
 
-def generalized_m(params: StruveParams, z: complex, terms: int = 64) -> complex:
+def generalized_m(params: StruveParams, z: complex, tol: float = 1e-13) -> Result:
     """Generalized family: ``sum (-1)^n c^n (z/2)^(2n+p+1) / (G(n+3/2) G(k+n))``."""
-    return _m_series(params.p, params.k, params.c, z, terms)
+    return _m_sum(params.p, params.k, params.c, z, tol)
+
+
+def normalized_n(params: StruveParams, z: complex, tol: float = 1e-13) -> Result:
+    """``N(z) = sum A_n z^n`` (see ``normalized_n_series``): the kernel sum at
+    ``x = -c z / 4``."""
+    return _kernel_sum(params.k, -params.c * complex(z) / 4.0, tol)
 
 
 def normalized_n_series(params: StruveParams, order: int = 64) -> PowerSeries:
@@ -166,13 +186,17 @@ def normalized_n_series(params: StruveParams, order: int = 64) -> PowerSeries:
     This is the entire normalization of the generalized family:
     evaluated at z it equals
     ``2^p sqrt(pi) G(k) z^(-(p+1)/2) M(sqrt z)`` (principal branches).
+    A zero ``(n + 1/2)(k + n - 1)`` raises PoleError, as the kernel sum does.
     """
     if order < 1:
         raise ParameterError("order must be >= 1")
     coeffs = [1 + 0j]
     a = 1 + 0j
     for n in range(1, order + 1):
-        a *= (-params.c / 4.0) / ((n + 0.5) * (params.k + n - 1.0))
+        growth = _growth(params.k, n)
+        if growth == 0:
+            raise PoleError(f"gamma pole encountered at series index n = {n}")
+        a *= (-params.c / 4.0) / growth
         coeffs.append(a)
     return PowerSeries(tuple(coeffs))
 

@@ -149,16 +149,16 @@ def run_hypergeom(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[di
     records = []
     for i in range(trials):
         hp, z = _random_hypergeom_case(_rng(seed, 1, i))
-        s = f21_series(hp, z)
+        s = f21_series(hp, z)[0]
         e = f21_euler(hp, z)
-        p = f21_pfaff(hp, z)
+        p = f21_pfaff(hp, z)[0]
         value = max(abs(s - e), abs(s - p))
         records.append(
             _record("hypergeom", f"trial-{i:03d}", value <= tol, value=value, tol=tol)
         )
     anchor_tol = 1e-11
     log_anchor = abs(
-        f21_series(HypergeomParams(1, 1, 2), 0.5) - 2.0 * math.log(2.0)
+        f21_series(HypergeomParams(1, 1, 2), 0.5)[0] - 2.0 * math.log(2.0)
     )
     records.append(
         _record("hypergeom", "anchor-log", log_anchor <= anchor_tol,
@@ -170,7 +170,7 @@ def run_hypergeom(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[di
         a = complex(rng.uniform(0.2, 2.0))
         b = complex(rng.uniform(0.3, 2.0))
         z = complex(rng.uniform(-0.9, 0.9))
-        lhs = f21_series(HypergeomParams(a, b, b), z)
+        lhs = f21_series(HypergeomParams(a, b, b), z)[0]
         rhs = (1.0 - z) ** (-a)
         worst = max(worst, abs(lhs - rhs))
     records.append(
@@ -209,7 +209,7 @@ def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9,
             zs.append(r * cmath.exp(1j * theta))
         worst = 0.0
         for z, qz in zip(zs, best_dominant_q(dp, np.array(zs))[0].tolist()):
-            worst = max(worst, abs(sharp_bound_h(dp, z) - qz))
+            worst = max(worst, abs(sharp_bound_h(dp, z)[0] - qz))
         records.append(
             _record("dominant", f"agreement-{i:02d}", worst <= tol,
                     value=worst, tol=tol,

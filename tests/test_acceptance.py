@@ -114,7 +114,7 @@ def test_criterion_05_sharpness_limit():
         beta = float(rng.uniform(0.2, 0.8))
         dp = DominantParams(beta, MobiusTarget(A, B))
         values = [
-            sharp_bound_h(dp, -r).real for r in (0.5, 0.9, 0.99, 1.0 - 1e-6)
+            sharp_bound_h(dp, -r)[0].real for r in (0.5, 0.9, 0.99, 1.0 - 1e-6)
         ]
         monotone &= all(v1 > v2 for v1, v2 in zip(values, values[1:]))
         gap = abs(values[-1] - lower_bound_h_minus1(dp))

@@ -1,0 +1,135 @@
+"""The error contract of the series targets: every value is within the
+``est_error`` it reports of a 30-digit mpmath reference (K = 1), or the
+evaluator raises a NumericsError.
+
+Inputs are seeded draws over the domains the benchmark's eval mix times:
+the three 2F1 routes, ``struve-h`` for z <= 10, ``struve-l`` for z <= 50, the
+generalized family, the normalized kernel N and phi = z N inside the disk,
+and h-bound with 1 - |z| down to 1e-3 (including the half-plane target).
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from struveops import (
+    DominantParams,
+    HypergeomParams,
+    MobiusTarget,
+    NumericsError,
+    StruveParams,
+    f21,
+    generalized_m,
+    normalized_n,
+    phi,
+    sharp_bound_h,
+    struve_h,
+    struve_l,
+)
+
+CASES = 300
+
+
+def _disk_point(rng, r):
+    t = 2.0 * math.pi * rng.uniform()
+    return r * complex(math.cos(t), math.sin(t))
+
+
+def _f21_case(rng, route):
+    a, b, c = rng.uniform(-1.5, 2.5), rng.uniform(-1.5, 2.5), rng.uniform(0.3, 3.5)
+    if route == "series":            # |z| <= 1/2
+        z = _disk_point(rng, 0.5 * rng.uniform())
+    elif route == "pfaff":           # |z| > 1/2, Re z < 1/2
+        r = 0.5 + rng.uniform()
+        t0 = math.acos(min(1.0, 0.4 / r))
+        t = t0 + (2.0 * math.pi - 2.0 * t0) * rng.uniform()
+        z = r * complex(math.cos(t), math.sin(t))
+    else:                            # |z| > 1/2, Re z >= 1/2, 1 - |z| >= 1e-2
+        r = 1.0 - 10.0 ** -rng.uniform(1.0, 2.0)
+        t = math.acos(0.5 / r) * (2.0 * rng.uniform() - 1.0)
+        z = r * complex(math.cos(t), math.sin(t))
+    return (lambda: f21(HypergeomParams(a, b, c), z),
+            lambda: mpmath.hyp2f1(a, b, c, z))
+
+
+def _kernel_params(rng):
+    return StruveParams(rng.uniform(-0.9, 3.0), rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0))
+
+
+def _m_reference(sp, z):
+    p, k, c = (mpmath.mpmathify(v) for v in (sp.p, sp.k, sp.c))
+    w = mpmath.mpmathify(z) / 2
+    return (w ** (p + 1) / (mpmath.gamma(1.5) * mpmath.gamma(k))
+            * mpmath.hyp1f2(1, 1.5, k, -c * w * w))
+
+
+def _struve_case(rng, target):
+    p = rng.uniform(-0.9, 3.0)
+    z = 1e-2 * (1e3 if target == "struve-h" else 5e3) ** rng.uniform()
+    if target == "struve-h":
+        return lambda: struve_h(p, z), lambda: mpmath.struveh(p, z)
+    return lambda: struve_l(p, z), lambda: mpmath.struvel(p, z)
+
+
+def _m_case(rng):
+    sp = _kernel_params(rng)
+    z = 1e-2 * 1e3 ** rng.uniform()
+    return lambda: generalized_m(sp, z), lambda: _m_reference(sp, z)
+
+
+def _n_case(rng, target):
+    sp = _kernel_params(rng)
+    z = _disk_point(rng, 0.95 * rng.uniform())
+
+    def reference():
+        n = mpmath.hyp1f2(1, 1.5, sp.k, -mpmath.mpmathify(sp.c) * z / 4)
+        return n * z if target == "phi" else n
+    return (lambda: (phi if target == "phi" else normalized_n)(sp, z)), reference
+
+
+def _h_case(rng):
+    beta = rng.uniform(0.2, 3.0)
+    if rng.uniform() < 0.25:         # the half-plane target, |1 - z| >= 0.1
+        B, A = -1.0, rng.uniform(-0.9, 1.0)
+    else:
+        B = rng.uniform(-0.95, 0.9)
+        A = rng.uniform(B + 0.05, 1.0)
+    while True:
+        z = _disk_point(rng, 1.0 - 10.0 ** (-3.0 * rng.uniform()))
+        if B != -1.0 or abs(1.0 - z) >= 0.1:
+            break
+    dp = DominantParams(beta, MobiusTarget(A, B))
+    return (lambda: sharp_bound_h(dp, z),
+            lambda: A / B + (1 - A / B) * mpmath.hyp2f1(1, beta, beta + 1, -B * mpmath.mpc(z)))
+
+
+TARGETS = {
+    "f21-series": lambda rng: _f21_case(rng, "series"),
+    "f21-pfaff": lambda rng: _f21_case(rng, "pfaff"),
+    "f21-outer": lambda rng: _f21_case(rng, "outer"),
+    "struve-h": lambda rng: _struve_case(rng, "struve-h"),
+    "struve-l": lambda rng: _struve_case(rng, "struve-l"),
+    "struve-m": _m_case,
+    "struve-n": lambda rng: _n_case(rng, "struve-n"),
+    "phi": lambda rng: _n_case(rng, "phi"),
+    "h-bound": _h_case,
+}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_value_within_reported_error(target):
+    rng = np.random.default_rng([2019, list(TARGETS).index(target)])
+    checked = 0
+    for i in range(CASES):
+        compute, reference = TARGETS[target](rng)
+        try:
+            value, est, _ = compute()
+        except NumericsError:
+            continue
+        with mpmath.workdps(30):
+            error = abs(value - complex(reference()))
+        assert error <= est, f"{target} case {i}: error {error:.3g} > est_error {est:.3g}"
+        checked += 1
+    assert checked >= CASES // 2

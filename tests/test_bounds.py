@@ -164,14 +164,14 @@ class TestBestDominantQGap:
 
 class TestSharpBoundH:
     def test_at_zero_both_branches(self):
-        assert sharp_bound_h(dominant(1.0, 0.0, 1.0), 0.0) == 1.0
-        assert abs(sharp_bound_h(dominant(0.7, -0.4, 1.3), 0.0) - 1.0) <= 1e-13
+        assert sharp_bound_h(dominant(1.0, 0.0, 1.0), 0.0)[0] == 1.0
+        assert abs(sharp_bound_h(dominant(0.7, -0.4, 1.3), 0.0)[0] - 1.0) <= 1e-13
 
     def test_b_zero_branch(self):
-        assert abs(sharp_bound_h(dominant(1.0, 0.0, 1.0), 0.5) - 1.25) <= 1e-14
+        assert abs(sharp_bound_h(dominant(1.0, 0.0, 1.0), 0.5)[0] - 1.25) <= 1e-14
 
     def test_matches_quadrature_representation(self):
-        value = sharp_bound_h(dominant(1.0, -1.0, 1.0), 0.5)
+        value = sharp_bound_h(dominant(1.0, -1.0, 1.0), 0.5)[0]
         other, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
         assert abs(value - other) <= 1e-9
 
@@ -184,7 +184,7 @@ class TestSharpBoundH:
             dp = dominant(A, B, beta)
             for _ in range(10):
                 z = rng.uniform(0.05, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-                assert abs(sharp_bound_h(dp, z) - best_dominant_q(dp, z)[0]) <= 1e-9
+                assert abs(sharp_bound_h(dp, z)[0] - best_dominant_q(dp, z)[0]) <= 1e-9
 
     @pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(0.5, math.nan), complex(math.nan, 0.0)])
     @pytest.mark.parametrize("B", [-1.0, 0.0, 0.5])
@@ -214,7 +214,7 @@ class TestLowerBoundHminus1:
 
     def test_matches_radial_limit_of_h(self):
         dp = dominant(0.8, -0.6, 1.2)
-        limit = sharp_bound_h(dp, -(1.0 - 1e-7)).real
+        limit = sharp_bound_h(dp, -(1.0 - 1e-7))[0].real
         assert abs(limit - lower_bound_h_minus1(dp)) <= 1e-6
 
 

@@ -104,13 +104,19 @@ class TestEval:
         assert "domain" in err
 
     def test_struve_h_reports_terms(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eval", "struve-h", "--p", "0.5", "--z", "1.0", "--terms", "48"
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["terms_or_nodes"] == 48
-        assert data["est_error"] <= 1e-12
+        # The kernel stops where --tol says and reports the terms it summed;
+        # H_{1/2}(1) = sqrt(2/pi) (1 - cos 1).
+        exact = math.sqrt(2.0 / math.pi) * (1.0 - math.cos(1.0))
+        seen = []
+        for tol in ("1e-13", "1e-6"):
+            code, out, _ = run_cli(capsys, "eval", "struve-h", "--p", "0.5", "--z", "1.0",
+                                   "--tol", tol)
+            assert code == 0
+            data = json.loads(out)
+            assert abs(data["value"][0] - exact) <= data["est_error"]
+            seen.append((data["terms_or_nodes"], data["est_error"]))
+        assert [terms for terms, _ in seen] == [8, 5]
+        assert seen[0][1] <= 1e-12
 
     def test_phi_linear_coefficient(self, capsys):
         # phi(z) = z exactly when c = 0, any z
@@ -121,36 +127,38 @@ class TestEval:
         assert json.loads(out)["value"] == [0.4, 0.0]
 
 
-# Exact stdout of every eval target, recorded before cmd_eval became a table.
+# Exact stdout of every eval target.  All but q were re-recorded when every
+# series target moved to the one ratio-series kernel, which prints its own
+# error bound and term count; the f21 and h-bound values kept their bits.
 EVAL_GOLDEN = [
     (("struve-h", "--p", "0.5", "--z", "1.5"),
-     '{"est_error": 0.0, "input": {"p": "(0.5+0j)", "target": "struve-h", "z": "(1.5+0j)"}, '
-     '"terms_or_nodes": 64, "value": [0.6053868499774631, 0.0]}'),
-    (("struve-l", "--p", "0.25", "--z", "2", "--terms", "40"),
-     '{"est_error": 0.0, "input": {"p": "(0.25+0j)", "target": "struve-l", "z": "(2+0j)"}, '
-     '"terms_or_nodes": 40, "value": [1.7689293569352125, 0.0]}'),
+     '{"est_error": 1.2902961521653993e-13, "input": {"p": "(0.5+0j)", "target": "struve-h", '
+     '"z": "(1.5+0j)"}, "terms_or_nodes": 10, "value": [0.6053868499774631, 0.0]}'),
+    (("struve-l", "--p", "0.25", "--z", "2"),
+     '{"est_error": 3.7129919824687847e-13, "input": {"p": "(0.25+0j)", "target": "struve-l", '
+     '"z": "(2+0j)"}, "terms_or_nodes": 11, "value": [1.7689293569352122, 0.0]}'),
     (("struve-m", "--p", "0.5", "--b", "2", "--c=-0.5+0.25i", "--z", "0.7"),
-     '{"est_error": 0.0, "input": {"b": "(2+0j)", "c": "(-0.5+0.25j)", "p": "(0.5+0j)", '
-     '"target": "struve-m", "z": "(0.7+0j)"}, "terms_or_nodes": 64, '
-     '"value": [0.17864620042593493, -0.0014555792609070419]}'),
+     '{"est_error": 3.713366222211735e-14, "input": {"b": "(2+0j)", "c": "(-0.5+0.25j)", '
+     '"p": "(0.5+0j)", "target": "struve-m", "z": "(0.7+0j)"}, "terms_or_nodes": 7, '
+     '"value": [0.17864620042593493, -0.0014555792609070417]}'),
     (("struve-n", "--p", "0.5", "--b", "1", "--c", "1", "--z", "0.3+0.2i"),
-     '{"est_error": 2.141514425069702e-248, "input": {"b": "(1+0j)", "c": "(1+0j)", '
-     '"p": "(0.5+0j)", "target": "struve-n", "z": "(0.3+0.2j)"}, "terms_or_nodes": 64, '
-     '"value": [0.9751393287836986, -0.016335608470721328]}'),
-    (("phi", "--p", "0.5", "--b", "1", "--c", "1", "--z", "0.3+0.2i", "--order", "12"),
-     '{"est_error": 2.43321973447191e-29, "input": {"b": "(1+0j)", "c": "(1+0j)", '
-     '"p": "(0.5+0j)", "target": "phi", "z": "(0.3+0.2j)"}, "terms_or_nodes": 12, '
-     '"value": [0.2958089203292538, 0.19012718321552333]}'),
+     '{"est_error": 5.59117509202039e-15, "input": {"b": "(1+0j)", "c": "(1+0j)", '
+     '"p": "(0.5+0j)", "target": "struve-n", "z": "(0.3+0.2j)"}, "terms_or_nodes": 7, '
+     '"value": [0.9751393287836985, -0.016335608470721387]}'),
+    (("phi", "--p", "0.5", "--b", "1", "--c", "1", "--z", "0.3+0.2i"),
+     '{"est_error": 2.133046767376158e-15, "input": {"b": "(1+0j)", "c": "(1+0j)", '
+     '"p": "(0.5+0j)", "target": "phi", "z": "(0.3+0.2j)"}, "terms_or_nodes": 7, '
+     '"value": [0.2958089203292538, 0.19012718321552327]}'),
     (("f21", "--a", "1", "--b", "1", "--c", "2", "--z=-0.8"),
-     '{"est_error": 1e-13, "input": {"a": "(1+0j)", "b": "(1+0j)", "c": "(2+0j)", '
-     '"target": "f21", "z": "(-0.8+0j)"}, "terms_or_nodes": 0, "value": [0.734733331127636, 0.0]}'),
+     '{"est_error": 3.669914148196808e-14, "input": {"a": "(1+0j)", "b": "(1+0j)", "c": "(2+0j)", '
+     '"target": "f21", "z": "(-0.8+0j)"}, "terms_or_nodes": 35, "value": [0.734733331127636, 0.0]}'),
     (("q", "--A", "1", "--B", "-0.5", "--beta", "1.5", "--z", "0.4+0.3i"),
      '{"est_error": 3.59796202233893e-15, "input": {"A": 1.0, "B": -0.5, "beta": 1.5, '
      '"target": "q", "z": "(0.4+0.3j)"}, "terms_or_nodes": 128, '
      '"value": [1.373519044920815, 0.36329943999222314]}'),
     (("h-bound", "--A", "1", "--B", "-1", "--beta", "0.75", "--z=-0.5+0.25i"),
-     '{"est_error": 1e-13, "input": {"A": 1.0, "B": -1.0, "beta": 0.75, "target": "h-bound", '
-     '"z": "(-0.5+0.25j)"}, "terms_or_nodes": 0, '
+     '{"est_error": 8.276938564682949e-14, "input": {"A": 1.0, "B": -1.0, "beta": 0.75, '
+     '"target": "h-bound", "z": "(-0.5+0.25j)"}, "terms_or_nodes": 29, '
      '"value": [0.6581618274765564, 0.12523188103874824]}'),
 ]
 
@@ -223,6 +231,71 @@ class TestEvalGolden:
         code, out, err = run_cli(capsys, "eval", *argv)
         assert (code, out) == (3, "")
         assert err.startswith(f"error [{kind}]")
+
+
+class TestKernelErrors:
+    """Every series target prints the kernel's own bound, or exits 3."""
+
+    PFAFF = ("--a", "19.229515266404327", "--b=-16.566421238049273", "--c", "1.8522355983271444",
+             "--z=0.47738408101505003+0.40630071161762465j")
+
+    @pytest.mark.parametrize("argv", [("f21", *PFAFF), ("struve-h", "--p", "0.5", "--z", "45")],
+                             ids=["f21-pfaff", "struve-h-45"])
+    def test_no_correct_digit_is_convergence_error(self, capsys, argv):
+        # These printed -1.37e39 (true 5514) and 10.88 (true 0.0565) with exit 0.
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error [convergence]: no correct digit")
+
+    def test_struve_h_at_20_reports_its_error(self, capsys):
+        import mpmath
+
+        code, out, _ = run_cli(capsys, "eval", "struve-h", "--p", "0.5", "--z", "20")
+        assert code == 0
+        data = json.loads(out)
+        exact = float(mpmath.struveh(0.5, 20))
+        assert abs(data["value"][0] - exact) <= data["est_error"] <= 1e-5
+
+    @pytest.mark.parametrize("target", ["struve-m", "struve-n", "phi"])
+    def test_k_within_rounding_of_a_pole(self, capsys, target):
+        # k = 1e-17: (k + 1) - 1 rounds to 0; struve-n and phi raised ZeroDivisionError.
+        code, out, err = run_cli(capsys, "eval", target, "--p", "1e-17", "--b=-2", "--c", "1",
+                                 "--z", "0.5")
+        assert (code, out) == (3, "")
+        assert err.startswith("error [pole]")
+
+    def test_member_k_within_rounding_of_a_pole(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "member", "--coeffs", identity_file(tmp_path),
+                                 "--p", "1e-17", "--b=-2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error [pole]")
+
+    @pytest.mark.parametrize("flag", ["--terms", "--order"])
+    def test_truncation_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "struve-n", "--p", "0.5", "--b", "1", "--c", "1", "--z", "0.3", flag, "12"])
+        assert excinfo.value.code == 2
+
+
+def _documented_commands():
+    """Every ``struveops ...`` example in README's CLI section and in the cli
+    docstring's examples."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    text = (section + "\n" + cli.__doc__.split("Examples::")[1]).replace("\\\n", " ")
+    return list(dict.fromkeys(tuple(line.split("#")[0].split()[1:]) for line in text.splitlines()
+                              if line.strip().startswith("struveops ")))
+
+
+@pytest.mark.parametrize("argv", _documented_commands(), ids=" ".join)
+def test_documented_example_runs(capsys, tmp_path, argv):
+    argv = [identity_file(tmp_path) if a == "f.json" else str(tmp_path / a) if a == "cloud.csv"
+            else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code != 2, capsys.readouterr().err
 
 
 class TestRejectedInput:

@@ -3,11 +3,14 @@ import pytest
 
 from struveops import (
     ParameterError,
+    PoleError,
     PowerSeries,
     StruveParams,
     apply_s,
     hadamard,
+    normalized_n,
     normalized_n_series,
+    phi,
     phi_series,
     recurrence_residual,
 )
@@ -55,7 +58,33 @@ class TestPhiSeries:
         assert all(phi[m + 1] == ns[m] for m in range(10))
 
 
+class TestPhiValue:
+    def test_is_z_times_n(self):
+        sp = StruveParams(complex(0.2, 0.4), complex(1.1, -0.3), complex(-0.8, 0.6))
+        z = complex(0.3, -0.5)
+        value, est, terms = phi(sp, z)
+        n_value, n_est, n_terms = normalized_n(sp, z)
+        assert value == z * n_value and terms == n_terms
+        assert abs(z) * n_est <= est <= 1e-14
+
+    def test_matches_the_coefficients(self):
+        sp = StruveParams(0.5, 1.0, 1.0)
+        z = complex(0.6, 0.2)
+        coeffs = phi_series(sp, 40).coeffs
+        value, est, _ = phi(sp, z)
+        assert abs(value - sum(c * z**n for n, c in enumerate(coeffs))) <= 1e-15
+
+    def test_c_zero_is_z(self):
+        value, est, terms = phi(StruveParams(0.5, 1.0, 0.0), 0.4)
+        assert (value, terms) == (0.4, 2) and est <= 1e-15
+
+
 class TestApplyS:
+    def test_k_within_rounding_of_a_pole(self):
+        # k = 1e-17: (k + 1) - 1 rounds to 0, which raised ZeroDivisionError.
+        with pytest.raises(PoleError):
+            apply_s(StruveParams(1e-17, -2.0, 1.0), PowerSeries((0, 1, 0.5)))
+
     def test_identity_input(self):
         sp = StruveParams(0.5, 1.0, 1.0)
         assert apply_s(sp, PowerSeries.identity(8)) == PowerSeries.identity(8)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -5,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from struveops import (
+    ConvergenceError,
+    DomainError,
     ParameterError,
+    PoleError,
     PowerSeries,
-    evaluate,
     hadamard,
+    ratio_sum,
 )
+from struveops.series import MAX_TERMS
 
 finite_complex = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False, allow_subnormal=False
@@ -92,36 +97,64 @@ class TestHadamard:
 
 
 class TestEvaluate:
+    """Evaluating a series at a point, which ``ratio_sum`` does from its
+    first term and term ratio."""
+
     def test_at_zero(self):
-        assert evaluate(PowerSeries((0, 1, 1)), 0) == 0
+        # z + z^2 at z = 0
+        assert ratio_sum(0j, lambda n: 0j, 0.0, 1e-13) == (0, 0.0, 2)
 
     def test_direct_substitution(self):
-        assert evaluate(PowerSeries((0, 1, 1)), 0.5) == pytest.approx(0.75)
+        z = 0.5
+        value, _, _ = ratio_sum(z, lambda n: z if n == 0 else 0.0, 0.0, 1e-13)
+        assert value == pytest.approx(0.75)
 
     def test_geometric_sum_oracle(self):
-        # sum_{n=1}^{64} z^n at z=1/2: the closed form z/(1-z) = 1 minus a
-        # tail below 1e-19, so the truncated value is 1 within 1e-12.
-        f = PowerSeries((0,) + (1,) * 64)
-        assert abs(evaluate(f, 0.5) - 1.0) <= 1e-12
+        # sum_{n>=1} z^n at z = 1/2 is z/(1-z) = 1
+        value, est, terms = ratio_sum(0.5, lambda n: 0.5, 0.5, 1e-13)
+        assert abs(value - 1.0) <= est <= 1e-12
+        assert terms == 45
 
     def test_exact_for_polynomials(self):
-        f = PowerSeries((1, -2, 3))
+        # 1 - 2z + 3z^2: the ratios are -2z, -1.5z, then 0
         z = complex(0.3, -0.7)
+        value, _, _ = ratio_sum(1.0, lambda n: (-2.0 * z, -1.5 * z, 0.0)[min(n, 2)], 0.0, 1e-13)
         direct = 1 - 2 * z + 3 * z * z
-        assert abs(evaluate(f, z) - direct) <= 1e-15 * abs(direct)
+        assert abs(value - direct) <= 1e-15 * abs(direct)
 
 
-class TestLinearCombine:
-    @settings(max_examples=60)
-    @given(
-        series_strategy(4),
-        series_strategy(4),
-        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
-        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
-    )
-    def test_evaluation_is_linear(self, f, g, a, b):
-        z = complex(0.31, -0.42)
-        combined = PowerSeries(tuple(a * x + b * y for x, y in zip(f.coeffs, g.coeffs)))
-        direct = evaluate(combined, z)
-        split = a * evaluate(f, z) + b * evaluate(g, z)
-        assert abs(direct - split) <= 1e-13 * max(1.0, abs(split))
+def exp_series(x, tol=1e-13):
+    return ratio_sum(1.0, lambda n: x / (n + 1.0), 0.0, tol)
+
+
+class TestRatioSum:
+    @pytest.mark.parametrize("x", [-5.0, -1.0, 0.5, 3.0, 20.0, complex(2.0, -7.0)])
+    def test_bound_covers_the_error(self, x):
+        value, est, _ = exp_series(x)
+        assert abs(value - cmath.exp(x)) <= est
+
+    def test_tail_bound_covers_an_early_stop(self):
+        value, est, terms = ratio_sum(0.9, lambda n: 0.9, 0.9, 1e-2)
+        assert abs(value - 9.0) <= est and terms < 100
+
+    def test_no_correct_digit_raises(self):
+        # e^-40 = 4e-18 from terms up to 40^40/40!, about 1e16
+        with pytest.raises(ConvergenceError, match="no correct digit"):
+            exp_series(-40.0)
+
+    def test_zero_denominator_is_pole(self):
+        with pytest.raises(PoleError, match="ratio of term 3 to term 2"):
+            ratio_sum(1.0, lambda n: 1.0 / (2.0 - n), 0.0, 1e-13)
+
+    def test_overflowing_term_is_domain_error(self):
+        with pytest.raises(DomainError, match="term 2 is not finite"):
+            ratio_sum(1.0, lambda n: 1e200, 0.0, 1e-13)
+
+    def test_cap_is_convergence_error(self):
+        with pytest.raises(ConvergenceError, match=f"within {MAX_TERMS} terms"):
+            ratio_sum(1.0, lambda n: 1.0 - 1e-12, 1.0 - 1e-12, 1e-13)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ParameterError, match="tol must be > 0"):
+            ratio_sum(1.0, lambda n: 0.5, 0.5, tol)

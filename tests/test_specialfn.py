@@ -10,9 +10,9 @@ from struveops import (
     ParameterError,
     PoleError,
     StruveParams,
-    evaluate,
     gamma,
     generalized_m,
+    normalized_n,
     normalized_n_series,
     ode_residual_n,
     struve_h,
@@ -96,38 +96,38 @@ class TestGamma:
 
 class TestStruveH:
     def test_zero_argument(self):
-        assert struve_h(1.0, 0.0) == 0
+        assert struve_h(1.0, 0.0)[0] == 0
 
     def test_half_order_closed_form(self):
         # H_{1/2}(z) = sqrt(2/(pi z)) (1 - cos z), evaluated at z = pi
-        value = struve_h(0.5, math.pi, 64)
+        value = struve_h(0.5, math.pi)[0]
         oracle = math.sqrt(2.0 / (math.pi * math.pi)) * (1.0 - math.cos(math.pi))
         assert abs(value - oracle) <= 1e-13
         assert abs(value - 0.9003163161571062) <= 1e-12
 
     def test_brute_force_series_oracle(self):
-        value = struve_h(0.0, 1.0, 64)
+        value = struve_h(0.0, 1.0)[0]
         oracle = mp_struve_sum(0.0, 1.0, -1)
         assert abs(value - oracle) <= 1e-12
 
-    def test_terms_precondition(self):
-        with pytest.raises(ParameterError):
-            struve_h(0.5, 0.3, 0)
+    def test_tol_precondition(self):
+        with pytest.raises(ParameterError, match="tol must be > 0"):
+            struve_h(0.5, 0.3, tol=0.0)
 
 
 class TestStruveL:
     def test_zero_argument(self):
-        assert struve_l(1.0, 0.0) == 0
+        assert struve_l(1.0, 0.0)[0] == 0
 
     def test_cross_identity_with_h(self):
         # L_p(z) = -i e^(-i p pi/2) H_p(i z)
         p, z = 0.5, 0.3
-        lhs = struve_l(p, z, 64)
-        rhs = -1j * cmath.exp(-1j * p * math.pi / 2.0) * struve_h(p, 1j * z, 64)
+        lhs = struve_l(p, z)[0]
+        rhs = -1j * cmath.exp(-1j * p * math.pi / 2.0) * struve_h(p, 1j * z)[0]
         assert abs(lhs - rhs) <= 1e-11
 
     def test_brute_force_series_oracle(self):
-        value = struve_l(0.0, 0.5, 64)
+        value = struve_l(0.0, 0.5)[0]
         oracle = mp_struve_sum(0.0, 0.5, 1)
         assert abs(value - oracle) <= 1e-12
 
@@ -136,15 +136,15 @@ class TestGeneralizedM:
     def test_reduces_to_struve_h(self):
         p, z = 0.25, 0.4
         sp = StruveParams(p, 1.0, 1.0)
-        assert abs(generalized_m(sp, z, 64) - struve_h(p, z, 64)) <= 1e-13
+        assert abs(generalized_m(sp, z)[0] - struve_h(p, z)[0]) <= 1e-13
 
     def test_reduces_to_struve_l(self):
         p, z = 0.25, 0.4
         sp = StruveParams(p, 1.0, -1.0)
-        assert abs(generalized_m(sp, z, 64) - struve_l(p, z, 64)) <= 1e-13
+        assert abs(generalized_m(sp, z)[0] - struve_l(p, z)[0]) <= 1e-13
 
     def test_zero_argument(self):
-        assert generalized_m(StruveParams(0.5, 1.0, 2.0), 0.0) == 0
+        assert generalized_m(StruveParams(0.5, 1.0, 2.0), 0.0)[0] == 0
 
 
 NAN, INF = float("nan"), float("inf")
@@ -164,6 +164,16 @@ class TestNonFinite:
         for value in (lambda: struve_h(0.5, z), lambda: struve_l(0.5, z),
                       lambda: generalized_m(StruveParams(0.5, 1, 1), z)):
             with pytest.raises(DomainError, match="Struve series needs a finite z"):
+                value()
+        with pytest.raises(DomainError, match="not finite"):
+            normalized_n(StruveParams(0.5, 1, 1), z)
+
+
+    @pytest.mark.parametrize("p", [NAN, INF, complex(0.5, -INF)])
+    def test_order_rejected(self, p):
+        # These raised "DomainError: gamma overflows double precision at z = (nan+0j)".
+        for value in (lambda: struve_h(p, 1.0), lambda: struve_l(p, 1.0)):
+            with pytest.raises(ParameterError, match="Struve order p must be finite"):
                 value()
 
 
@@ -208,6 +218,14 @@ class TestNormalizedSeries:
         ns = normalized_n_series(StruveParams(0.5, 1.0, 1.0), 4)
         assert abs(ns[1] - (-1.0 / 12.0)) <= 1e-15
 
+    def test_k_within_rounding_of_a_pole(self):
+        # k = 1e-17: (k + 1) - 1 rounds to 0 at n = 1, which raised ZeroDivisionError.
+        sp = StruveParams(1e-17, -2.0, 1.0)
+        for value in (lambda: normalized_n_series(sp, 8), lambda: normalized_n(sp, 0.5),
+                      lambda: generalized_m(sp, 0.5)):
+            with pytest.raises(PoleError):
+                value()
+
     def test_transformation_consistency(self):
         # N(z) = 2^p sqrt(pi) Gamma(k) z^(-(p+1)/2) M(sqrt z), principal
         # branches, checked off the negative real axis for |z| <= 0.8.
@@ -223,13 +241,13 @@ class TestNormalizedSeries:
             r = rng.uniform(0.05, 0.8)
             theta = rng.uniform(-0.95 * math.pi, 0.95 * math.pi)
             z = r * cmath.exp(1j * theta)
-            lhs = evaluate(normalized_n_series(sp, 64), z)
+            lhs = normalized_n(sp, z)[0]
             rhs = (
                 cmath.exp(sp.p * math.log(2.0))
                 * math.sqrt(math.pi)
                 * gamma(sp.k)
                 * cmath.exp(-(sp.p + 1) / 2.0 * cmath.log(z))
-                * generalized_m(sp, cmath.sqrt(z), 64)
+                * generalized_m(sp, cmath.sqrt(z))[0]
             )
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
