@@ -128,6 +128,27 @@ class ClassParams:
             raise ParameterError(f"mu must lie in (0, 1), got {self.mu}")
 
 
+def _functional(cp: ClassParams, z: np.ndarray, num: np.ndarray, den: np.ndarray) -> tuple:
+    """The class expression and ``arg(1/den)`` from ``S_k f / z = num``, ``S_{k+1} f / z = den``.
+
+    ``(1/den)^mu = |1/den|^mu e^(i mu arg(1/den))`` with the ``arctan2``
+    argument that ``log`` takes: the principal branch, signed zeros included.
+    Raises DomainError naming the first z, in input order, where den vanishes.
+    """
+    vanishing = np.flatnonzero(np.abs(den) < 1e-12)
+    if vanishing.size:
+        raise DomainError(f"S_(k+1) f vanishes at z = {complex(z.flat[vanishing[0]])}")
+    inv = 1.0 / den
+    arg = np.arctan2(inv.imag, inv.real)
+    pm = np.hypot(inv.real, inv.imag) ** cp.mu * (np.cos(cp.mu * arg) + 1j * np.sin(cp.mu * arg))
+    eia = complex(math.cos(cp.alpha), math.sin(cp.alpha))
+    return eia * ((1.0 + cp.lam) * pm - cp.lam * (num / den) * pm), arg
+
+
+def _derotate(cp: ClassParams, value: complex | np.ndarray) -> complex | np.ndarray:
+    return (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
+
+
 def expression_evaluator(cp: ClassParams, f: PowerSeries) -> Callable:
     """Build the class functional once for repeated evaluation.
 
@@ -141,25 +162,16 @@ def expression_evaluator(cp: ClassParams, f: PowerSeries) -> Callable:
     e^(i alpha) instead of a removable singularity.  It accepts a scalar
     (returning a complex) or an array of z (returning an array of the same
     shape), and raises DomainError naming the first z, in input order, where
-    S_{k+1} f / z vanishes.
+    S_{k+1} f / z vanishes.  Horner's rule sums the images at any z.
     """
     # Highest power first, constant term dropped: np.polyval then gives S f / z.
     lo = np.array(apply_s(cp.struve, f).coeffs[:0:-1])
     hi = np.array(apply_s(cp.struve.shifted(), f).coeffs[:0:-1])
-    eia = complex(math.cos(cp.alpha), math.sin(cp.alpha))
-    lam = cp.lam
-    mu = cp.mu
 
     def evaluate_at(z: complex | np.ndarray) -> complex | np.ndarray:
         zs = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
-            den = np.polyval(hi, zs)
-            vanishing = np.flatnonzero(np.abs(den) < 1e-12)
-            if vanishing.size:
-                raise DomainError(f"S_(k+1) f vanishes at z = {complex(zs.flat[vanishing[0]])}")
-            num = np.polyval(lo, zs)
-            pm = np.exp(mu * np.log(1.0 / den))
-            value = eia * ((1.0 + lam) * pm - lam * (num / den) * pm)
+            value, _ = _functional(cp, zs, np.polyval(lo, zs), np.polyval(hi, zs))
         return complex(value) if zs.ndim == 0 else value
 
     return evaluate_at
@@ -173,8 +185,16 @@ def j_functional(cp: ClassParams, f: PowerSeries,
     for f(z) = z regardless of the remaining parameters.  Takes a scalar or
     an array of z, like :func:`expression_evaluator`.
     """
-    value = expression_evaluator(cp, f)(z)
-    return (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
+    return _derotate(cp, expression_evaluator(cp, f)(z))
+
+
+def _on_circles(coeffs: Sequence[complex], radii: np.ndarray, points: int) -> np.ndarray:
+    """``sum_n coeffs[n] z^n`` at ``points`` equally spaced z from angle 0 on each
+    circle ``|z| = radii[i]`` (row i), by one FFT; powers fold mod ``points``."""
+    c = np.asarray(coeffs, dtype=complex)
+    terms = np.zeros((len(radii), -(-c.size // points) * points), dtype=complex)
+    terms[:, :c.size] = c * radii[:, None] ** np.arange(c.size)
+    return np.fft.ifft(terms.reshape(len(radii), -1, points).sum(axis=1), norm="forward")
 
 
 def mobius_image_check(target: MobiusTarget, w: complex | np.ndarray) -> float | np.ndarray:
@@ -200,9 +220,9 @@ def membership_samples(
     """Sample the de-rotated functional: ``(z, J(z), margin)`` arrays.
 
     Circle by circle, ``points_per_circle`` equally spaced points from angle 0.
-    The arguments are validated before anything is evaluated; a non-finite
-    J raises DomainError naming the first such z rather than yielding margins
-    no comparison can order.
+    The arguments are validated before anything is evaluated.  DomainError
+    names the first z where S_(k+1) f / z vanishes, then the first non-finite
+    J, then a nonzero winding number of S_(k+1) f / z on the last circle.
     """
     if not radii:
         raise ParameterError("need at least one sampling radius")
@@ -212,15 +232,25 @@ def membership_samples(
         raise ParameterError("sampling radii must be strictly ascending")
     if points_per_circle < 1:
         raise ParameterError("points_per_circle must be >= 1")
+    r = np.asarray(radii, dtype=float)
     step = 2.0 * math.pi / points_per_circle
-    z = (np.asarray(radii, dtype=float)[:, None]
-         * np.exp(1j * (step * np.arange(points_per_circle)))).ravel()
+    z = (r[:, None] * np.exp(1j * (step * np.arange(points_per_circle)))).ravel()
     with np.errstate(all="ignore"):
-        value = j_functional(cp, f, z)
+        num, den = (_on_circles(apply_s(sp, f).coeffs[1:], r, points_per_circle).ravel()
+                    for sp in (cp.struve, cp.struve.shifted()))
+        value, arg = _functional(cp, z, num, den)
+        value = _derotate(cp, value)
         margin = mobius_image_check(cp.target, value)
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         raise DomainError(f"membership functional is not finite at z = {complex(z[bad[0]])}")
+    # arg(1/den) jumps by about 2 pi where it crosses its cut; the signed count
+    # of jumps round the last circle is the sampled count of zeros of den inside.
+    ring = arg[-points_per_circle:]
+    winding = int(np.rint((np.append(ring[1:], ring[0]) - ring) / (2.0 * math.pi)).sum())
+    if winding:
+        raise DomainError(f"S_(k+1) f / z has winding number {winding} around 0 on "
+                          f"|z| = {radii[-1]}, so it vanishes inside that circle")
     return z, value, margin
 
 

@@ -23,7 +23,7 @@ from struveops import (
     mobius_image_check,
     phi_series,
 )
-from struveops.classes import verdict_from_samples
+from struveops.classes import _functional, _on_circles, verdict_from_samples
 from struveops.specialfn import cpow
 
 HALF_PLANE = MobiusTarget(1.0, -1.0)
@@ -496,6 +496,74 @@ class TestArrayEquivalence:
             membership_samples(make_cp(), PowerSeries.identity(8), radii, points)
 
 
+class TestCircleEvaluation:
+    """The FFT circle evaluator and the real-form power against the numpy
+    forms they replace on the sample circles."""
+
+    @pytest.mark.parametrize("points", [1, 3, 16, 64, 720])
+    def test_matches_horner(self, points):
+        # Orders above ``points`` fold their powers mod ``points``.
+        rng = np.random.default_rng(61 + points)
+        radii = np.array([0.1, 0.5, 0.8, 0.95])
+        z = radii[:, None] * np.exp(1j * (2.0 * math.pi / points * np.arange(points)))
+        for order in range(1, 131):
+            c = rng.normal(size=order) + 1j * rng.normal(size=order)
+            got = _on_circles(c, radii, points)
+            ref = np.polyval(c[::-1], z)
+            assert got.shape == (len(radii), points)
+            assert (np.abs(got - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_samples_match_expression_evaluator(self, seed):
+        cp, f = seeded_case(2000 + seed, seed % 2 == 0)
+        z, values, _ = membership_samples(cp, f, (0.3, 0.7, 0.95), 180)
+        ref = j_functional(cp, f, z)
+        assert np.abs(values - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    def test_real_form_power_keeps_the_principal_branch(self):
+        # With lam = 0 and alpha = 0 the expression is (1/den)^mu itself.
+        rng = np.random.default_rng(67)
+        axis = [complex(x, s) for x in (-3.0, -1.0, -1e-3) for s in (0.0, -0.0)]
+        near = [complex(x, s * t) for x in (-2.0, -0.4) for s in (1.0, -1.0)
+                for t in (1e-300, 1e-17, 1e-9)]
+        wide = rng.uniform(0.05, 5.0, 400) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+        den = np.concatenate((axis, near, wide))
+        for mu in (0.1, 0.5, 0.93):
+            value, arg = _functional(make_cp(lam=0.0, mu=mu), den, den, den)
+            ref = np.exp(mu * np.log(1.0 / den))
+            assert (np.abs(value - ref) <= 1e-14 * np.abs(ref)).all()
+            # numpy's complex log can differ from arctan2 in the last bit.
+            log_arg = np.log(1.0 / den).imag
+            assert np.array_equal(np.signbit(arg), np.signbit(log_arg))
+            assert np.abs(arg - log_arg).max() <= 4e-16
+
+
+class TestWinding:
+    @staticmethod
+    def series_with_zeros(*zeros):
+        """f whose S_(k+1) f / z is prod (1 - z / z_j), under REFERENCE."""
+        shifted = np.array([1.0 + 0j])
+        for zj in zeros:
+            shifted = np.convolve(shifted, [1.0, -1.0 / zj])
+        kernel = phi_series(REFERENCE.shifted(), len(shifted)).coeffs
+        return PowerSeries((0, 1) + tuple(s / kernel[n + 1] for n, s in enumerate(shifted) if n))
+
+    @pytest.mark.parametrize("zeros,count", [((0.6,), 1), ((0.5j, -0.6), 2)])
+    def test_zero_inside_raises_naming_count_and_radius(self, zeros, count):
+        f = self.series_with_zeros(*zeros)
+        z, _, _ = membership_samples(make_cp(), f, (0.2, 0.4), 72)  # zeros outside
+        assert z.size == 144
+        with pytest.raises(DomainError, match=rf"winding number {count} around 0 on \|z\| = 0\.9,"):
+            membership_samples(make_cp(), f, (0.2, 0.4, 0.9), 72)
+
+    def test_huge_coefficients_no_longer_pass(self):
+        # S_(k+1) f / z = 1 - 5.6e306 z + 1.4e305 z^2 vanishes near z = 1.8e-307,
+        # while every sample of J is finite and, before the check, passed.
+        f = PowerSeries((0, 1, 1e308, 1e308))
+        with pytest.raises(DomainError, match=r"winding number 1 around 0 on \|z\| = 0\.95,"):
+            membership_test(make_cp(), f)
+
+
 class TestNonFinite:
     def test_nan_coefficient_raises(self):
         f = PowerSeries((0, 1, complex("nan")))
@@ -503,16 +571,20 @@ class TestNonFinite:
             membership_test(make_cp(), f, radii=(0.5, 0.9), points_per_circle=12)
 
     def test_overflow_names_first_non_finite_sample(self):
-        # S_k f / z = 1 + 1.2e308 (z + z^2): finite coefficients whose Horner
-        # sum overflows once Re z > 0.4975, first at z = 0.5 in sample order.
+        # S_k f / z = 1 + 1.2e308 (z + z^2): finite coefficients whose true
+        # value leaves the double range first at z = 0.9 in sample order
+        # (2.05e308; at r = 0.5 it is at most 9e307, and no S f / z with
+        # finite coefficients can exceed 1 + max|c_n| there).  S_(k+1) f / z
+        # then has a zero near -1e-308, so the inner circles end in the
+        # winding check, which runs only once every sample of J is finite.
         sp = StruveParams(0.5, 1.0, -40.0)
         kernel = phi_series(sp, 3).coeffs
         f = PowerSeries((0, 1, 1.2e308 / kernel[2], 1.2e308 / kernel[3]))
         cp = make_cp(struve=sp)
         radii = (0.3, 0.4, 0.5, 0.9)
-        _, values, _ = membership_samples(cp, f, radii[:2], 36)
-        assert np.isfinite(values).all()
-        with pytest.raises(DomainError, match=r"not finite at z = \(0\.5\+0j\)"):
+        with pytest.raises(DomainError, match=r"winding number 1 around 0 on \|z\| = 0\.5,"):
+            membership_samples(cp, f, radii[:3], 36)
+        with pytest.raises(DomainError, match=r"not finite at z = \(0\.9\+0j\)"):
             membership_test(cp, f, radii=radii, points_per_circle=36)
 
     def test_no_runtime_warning(self, recwarn):

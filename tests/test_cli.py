@@ -388,6 +388,16 @@ class TestMember:
         assert verdict["margin"] < 0
         assert verdict["witness"] is not None
 
+    def test_zero_of_shifted_image_inside_is_numeric_error(self, capsys, tmp_path):
+        # S_(k+1) f / z vanishes near z = 1.8e-307 while every sample of J is
+        # finite: the sampled verdict used to pass with margin 1.4e-170.
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps([[0, 0], [1, 0], [1e308, 0], [1e308, 0]]))
+        code, out, err = run_cli(capsys, "member", "--coeffs", str(path))
+        assert code == 3
+        assert out == ""
+        assert "[domain]" in err and "winding number 1 around 0 on |z| = 0.95" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
