@@ -94,6 +94,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+MAX_NODES = 2048  #: Largest ``eval q --nodes``: a Gauss-Jacobi rule costs O(n^2) to build.
+
+
+def node_count(text: str) -> int:
+    """The type of ``eval q --nodes``: at most MAX_NODES (below 2 is q's ParameterError)."""
+    value = int(text)
+    if value > MAX_NODES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_NODES}, got {value}")
+    return value
+
+
 def parse_radii(text: str) -> tuple[float, ...]:
     try:
         radii = tuple(float(part) for part in text.split(",") if part)
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--A", type=finite_float)
     p_eval.add_argument("--B", type=finite_float)
     p_eval.add_argument("--beta", type=finite_float)
-    p_eval.add_argument("--nodes", type=int, default=128)
+    p_eval.add_argument("--nodes", type=node_count, default=128)
     p_eval.add_argument("--tol", type=positive_float, default=1e-13)
 
     p_member = sub.add_parser("member", help="test class membership of a series")

@@ -66,18 +66,16 @@ def _params(params: StruveParams | DominantParams) -> dict:
     return {"A": params.target.A, "B": params.target.B, "beta": params.beta}
 
 
-def _random_complex(rng: np.random.Generator, scale: float = 2.0) -> complex:
-    re, im = rng.uniform(-scale, scale, size=2)
-    return complex(re, im)
+def _random_complexes(rng: np.random.Generator, n: int, scale: float = 2.0) -> list[complex]:
+    # One (n, 2) draw: the same doubles as n draws of (re, im).
+    return [complex(re, im) for re, im in rng.uniform(-scale, scale, size=(n, 2)).tolist()]
 
 
 def _random_struve_params(rng: np.random.Generator) -> StruveParams:
     # Reject k near a nonpositive integer: the kernel coefficients blow up
     # there and residual tolerances are absolute.
     while True:
-        p = _random_complex(rng)
-        b = _random_complex(rng)
-        c = _random_complex(rng)
+        p, b, c = _random_complexes(rng, 3)
         k = p + (b + 2.0) / 2.0
         if k.real <= 0.5 and abs(k.imag) < 0.15:
             nearest = round(min(k.real, 0.0))
@@ -89,10 +87,7 @@ def _random_struve_params(rng: np.random.Generator) -> StruveParams:
 
 
 def _random_normalized_series(rng: np.random.Generator, order: int) -> PowerSeries:
-    coeffs = [0j, 1 + 0j]
-    for _ in range(order - 1):
-        coeffs.append(_random_complex(rng, 1.0))
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries((0j, 1 + 0j, *_random_complexes(rng, order - 1, 1.0)))
 
 
 def _random_target(rng: np.random.Generator, b_low: float = -0.95,
@@ -133,12 +128,12 @@ def run_ode(seed: int = 0, trials: int = 100, tol: float = 1e-10,
 
 
 def _random_hypergeom_case(rng: np.random.Generator):
-    a = _random_complex(rng, 1.5)
+    a = _random_complexes(rng, 1, 1.5)[0]
     b = complex(rng.uniform(0.4, 2.2))
     c = b + complex(rng.uniform(0.4, 2.2))
     # Keep Re z below the Pfaff threshold so all three routes converge.
     while True:
-        z = _random_complex(rng, 0.7)
+        z = _random_complexes(rng, 1, 0.7)[0]
         if abs(z) <= 0.7 and z.real < 0.35:
             break
     return HypergeomParams(a, b, c), z
@@ -336,6 +331,18 @@ def run_modulus_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-5) -> li
     return records
 
 
+def _inclusion_samples(rng: np.random.Generator, target: MobiusTarget) -> list[list[complex]]:
+    """16 (f, g) pairs in the target's image from one (16, 2, 2) draw, whose
+    last axis holds each point's two uniforms (the order of scalar draws)."""
+    if target.is_half_plane:
+        edge = target.half_plane_edge
+        draws = rng.uniform((0.01, -3.0), (3.0, 3.0), size=(16, 2, 2)).tolist()
+        return [[complex(edge + u, v) for u, v in pair] for pair in draws]
+    center, radius = target.center, target.radius
+    draws = rng.uniform((0.0, 0.0), (0.98, 2.0 * math.pi), size=(16, 2, 2)).tolist()
+    return [[center + radius * math.sqrt(u) * cmath.exp(1j * v) for u, v in p] for p in draws]
+
+
 def run_inclusion(seed: int = 0, trials: int = 100, tol: float = 1e-9) -> list[dict]:
     """Nested-target containment and convex-combination containment."""
     records = []
@@ -355,18 +362,7 @@ def run_inclusion(seed: int = 0, trials: int = 100, tol: float = 1e-9) -> list[d
         rng = _rng(seed, 2, i)
         target = _random_target(rng)
         sigma = float(rng.uniform(0.0, 1.0))
-        f_vals, g_vals = [], []
-        for _ in range(16):
-            for out in (f_vals, g_vals):
-                if target.is_half_plane:
-                    out.append(
-                        complex(target.half_plane_edge + rng.uniform(0.01, 3.0),
-                                rng.uniform(-3.0, 3.0))
-                    )
-                else:
-                    rho = target.radius * math.sqrt(rng.uniform(0.0, 0.98))
-                    ang = rng.uniform(0.0, 2.0 * math.pi)
-                    out.append(target.center + rho * cmath.exp(1j * ang))
+        f_vals, g_vals = zip(*_inclusion_samples(rng, target))
         verdict = lemma3_check(target, f_vals, g_vals, sigma)
         records.append(
             _record("inclusion", f"convex-{i:03d}", verdict.passed,

@@ -83,13 +83,18 @@ class TestBestDominantQArrays:
 
     @pytest.mark.parametrize("nodes", [8, 17, 128, 255])
     def test_array_matches_scalar_calls_bit_for_bit(self, nodes):
+        # q integrates blocks of 64 points: 40 fit in one, 150 and 1,010
+        # (the dominant suite's points per trial) cross block boundaries.
         rng = np.random.default_rng(20 + nodes)
-        for B in (-1.0, 0.0, float(rng.uniform(-0.95, 0.9)), float(rng.uniform(-0.95, 0.9))):
+        for i, B in enumerate((-1.0, 0.0, float(rng.uniform(-0.95, 0.9)),
+                               float(rng.uniform(-0.95, 0.9)))):
             A = float(rng.uniform(B + 0.05 * (1.0 - B), 1.0))
-            for beta in (0.05, float(np.exp(rng.uniform(np.log(0.05), np.log(50.0)))), 50.0):
+            for j, beta in enumerate((0.05, float(np.exp(rng.uniform(np.log(0.05), np.log(50.0)))),
+                                      50.0)):
                 dp = dominant(A, B, beta)
+                points = (40, 150, 1010)[(i + j) % 3]
                 zs = [r * cmath.exp(1j * t) for r, t in
-                      zip(rng.uniform(0.0, 0.95, 40), rng.uniform(0.0, 2.0 * math.pi, 40))]
+                      zip(rng.uniform(0.0, 0.95, points), rng.uniform(0.0, 2.0 * math.pi, points))]
                 outcomes = [self.scalar_outcome(dp, z, nodes) for z in zs]
                 failures = [o for o in outcomes if isinstance(o, ConvergenceError)]
                 if failures:
@@ -98,7 +103,7 @@ class TestBestDominantQArrays:
                     assert str(excinfo.value) == str(failures[0])
                     continue
                 values, _ = best_dominant_q(dp, np.array(zs), nodes)
-                assert values.shape == (40,) and values.dtype == np.complex128
+                assert values.shape == (points,) and values.dtype == np.complex128
                 assert [repr(v) for v in values.tolist()] == outcomes
 
     def test_scalar_in_complex_out_and_shape_kept(self):
@@ -126,6 +131,40 @@ class TestBestDominantQArrays:
         with pytest.raises(ConvergenceError,
                            match=r"q\(\(0\.99\+0j\)\) did not settle: 16 vs 8 nodes differ by 0\.139199"):
             best_dominant_q(dp, np.array([0.1, -0.9999, 0.99, 0.99999]), nodes=16)
+
+    def test_convergence_error_names_first_unsettled_point_of_a_later_block(self):
+        # Blocks 0 and 1 (points 0-127) settle; block 2 holds 0.99 at 130,
+        # and block 3 the larger gap of 0.99999 at 200.
+        dp = dominant(0.5, -1.0, 0.5)
+        zs = np.full(250, 0.1 + 0.2j)
+        zs[[5, 130, 200]] = -0.9999, 0.99, 0.99999
+        with pytest.raises(ConvergenceError,
+                           match=r"q\(\(0\.99\+0j\)\) did not settle: 16 vs 8 nodes differ by 0\.139199"):
+            best_dominant_q(dp, zs, nodes=16)
+        zs[130] = 0.5
+        with pytest.raises(ConvergenceError, match=r"q\(\(0\.99999\+0j\)\) did not settle"):
+            best_dominant_q(dp, zs, nodes=16)
+        # The disk check covers the whole array before any block is integrated.
+        zs[240] = 1.5
+        with pytest.raises(DomainError, match=r"\|z\| = 1\.5$"):
+            best_dominant_q(dp, zs, nodes=16)
+
+    def test_blocks_give_the_one_pass_bits(self):
+        # The one-pass (points x nodes) integral q was before blocks, as reference.
+        from struveops.quadrature import jacobi_rule_01
+
+        rng = np.random.default_rng(64)
+        for points in (1, 63, 64, 65, 128, 129, 1010):
+            dp = dominant(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.95, -0.05)),
+                          float(rng.uniform(0.25, 2.5)))
+            zs = rng.uniform(0.0, 0.95, points) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, points))
+            t, w = jacobi_rule_01(128, 0.0, dp.beta - 1.0)
+            one_pass = dp.beta * np.vecdot(w, dp.target.phi(zs[:, None] * t))
+            t, w = jacobi_rule_01(64, 0.0, dp.beta - 1.0)
+            gap = abs(one_pass - dp.beta * np.vecdot(w, dp.target.phi(zs[:, None] * t)))
+            q, q_gap = best_dominant_q(dp, zs)
+            assert q.tobytes() == one_pass.tobytes() and q_gap.tobytes() == gap.tobytes()
+        assert best_dominant_q(dp, np.zeros(0, dtype=complex))[0].shape == (0,)
 
     @pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(0.5, math.nan), complex(math.nan, 0.0)])
     def test_nan_point_is_domain_error(self, z):
@@ -259,6 +298,61 @@ class TestStarlike:
         verdict = q_starlike_certificate(1.0, 0.0, grid_r=10, grid_psi=36)
         assert verdict.passed
         assert verdict.margin == pytest.approx(1.0)
+
+    @staticmethod
+    def scalar_check_points():
+        # The scalar draw loop the certificate ran before, as reference.
+        rng = np.random.default_rng(20210)
+        points = []
+        for _ in range(20):
+            r = float(rng.uniform(0.05, 0.9))
+            psi = float(rng.uniform(0.0, 2.0 * math.pi))
+            points.append((r, psi, r * cmath.exp(1j * psi)))
+        return points
+
+    def test_check_points_are_the_scalar_draws_of_seed_20210(self, monkeypatch):
+        from struveops import bounds
+
+        closed, direct = [], []
+        monkeypatch.setattr(bounds, "re_zqprime_over_q",
+                            lambda B, r, psi: closed.append((r, psi)) or re_zqprime_over_q(B, r, psi))
+        quotient_rule = bounds._zqprime_over_q_direct
+        monkeypatch.setattr(bounds, "_zqprime_over_q_direct",
+                            lambda B, z: direct.append(z) or quotient_rule(B, z))
+        assert q_starlike_certificate(0.5, -0.3).passed
+        expected = self.scalar_check_points()
+        _, (r, psi) = closed  # the grid, then the check points
+        assert [repr(v) for v in r.tolist()] == [repr(p[0]) for p in expected]
+        assert [repr(v) for v in psi.tolist()] == [repr(p[1]) for p in expected]
+        assert [repr(z) for z in direct] == [repr(p[2]) for p in expected]
+
+    @pytest.mark.parametrize("grid_r,grid_psi", [(50, 360), (80, 360), (10, 36), (7, 13), (1, 1)])
+    def test_grid_margin_has_the_meshgrid_bits(self, grid_r, grid_psi):
+        # cos and sin of the grid_psi angles broadcast against B r give the
+        # bits of the (grid_r x grid_psi) meshgrid the grid was built on.
+        rng = np.random.default_rng(grid_r * grid_psi)
+        for B in (-0.99, -0.5, 0.0, 0.99, *rng.uniform(-0.99, 0.99, 6).tolist()):
+            rs = np.linspace(0.99 / grid_r, 0.99, grid_r)
+            psis = np.linspace(0.0, 2.0 * math.pi, grid_psi, endpoint=False)
+            R, PSI = np.meshgrid(rs, psis, indexing="ij")
+            br = B * R
+            old = (1.0 - br * br) / ((1.0 + br * np.cos(PSI)) ** 2 + (br * np.sin(PSI)) ** 2)
+            assert re_zqprime_over_q(B, rs[:, None], psis).tobytes() == old.tobytes()
+            verdict = q_starlike_certificate(1.0, B, grid_r=grid_r, grid_psi=grid_psi)
+            assert repr(verdict.margin) == repr(float(old.min()))
+            assert verdict.passed and verdict.samples_used == grid_r * grid_psi + 20
+
+    def test_first_inconsistent_check_point_is_the_witness(self, monkeypatch):
+        from struveops import bounds
+
+        points = [p[2] for p in self.scalar_check_points()]
+        off = {points[7], points[12]}
+        direct = bounds._zqprime_over_q_direct
+        monkeypatch.setattr(bounds, "_zqprime_over_q_direct",
+                            lambda B, z: direct(B, z) + (1e-9 if z in off else 0.0))
+        verdict = q_starlike_certificate(0.5, -0.3)
+        assert not verdict.passed and verdict.margin > 0.0
+        assert repr(verdict.witness_z) == repr(points[7])
 
     def test_closed_form_spot_value(self):
         # B = -0.5, r = 0.8, psi = 0: (1 - 0.16)/(1 - 0.4)^2 = 0.84/0.36

@@ -351,6 +351,22 @@ class TestRejectedInput:
         argv = ("eval", "h-bound", "--A", "1", "--beta", "1", "--z", "0.5")
         assert run_cli(capsys, *argv, "--B=-1e-3") == run_cli(capsys, *argv, "--B", "-0.001")
 
+    @pytest.mark.parametrize("nodes", [str(cli.MAX_NODES + 1), "1000000", "99999999999999999999"])
+    def test_nodes_above_the_maximum_are_rejected_by_the_parser(self, capsys, nodes):
+        # A rule costs O(n^2) to build: 1,000,000 nodes ran for hours.  The
+        # parser exits 2 before any rule is built.
+        argv = ["eval", "q", "--A", "1", "--B", "0", "--beta", "1", "--z", "0.5", "--nodes", nodes]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--nodes" in capsys.readouterr().err
+
+    def test_nodes_up_to_the_maximum_parse(self):
+        argv = ["eval", "q", "--A", "1", "--B", "0", "--beta", "1", "--z", "0.5", "--nodes"]
+        assert cli.build_parser().parse_args([*argv, str(cli.MAX_NODES)]).nodes == cli.MAX_NODES
+        # Fewer than 2 still reaches q, whose ParameterError names the rule.
+        assert cli.build_parser().parse_args([*argv, "-4"]).nodes == -4
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_verify_needs_a_trial(self, capsys, trials):
         with pytest.raises(SystemExit) as excinfo:
@@ -475,6 +491,21 @@ class TestVerify:
             "7f549fdf7c83a84b5c12c1372ba82540fd3f7234a2990082b0d9d1389df708ed"
         )
 
+    @pytest.mark.skipif(
+        (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+        reason="the pinned digests were recorded with numpy 2.4.6 and scipy 1.17.1",
+    )
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "e085b0d30ce54a13f4a5d487d07cd45f412243b5a5329ccfbec41b39c42724a5"),
+        (2, "887631875400542632a32a166568bbb2000b3b8230c9874e2d1de0aa0b6c0ef0"),
+        (3, "f8995f3809d7d5a3122217a2c31f9e42fee3f6a4e68ad0c3c2b7f4f759e5d17a"),
+    ])
+    def test_other_seed_digests_are_pinned(self, capsys, seed, digest):
+        # Other draws of every suite, so that a change one seed misses shows.
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "nonsense"])
@@ -563,9 +594,10 @@ def test_dump_matches_verdict(capsys, tmp_path):
 def test_cli_import_leaves_scipy_unloaded():
     # The slow scipy imports wait for a Gauss-Jacobi rule build and the
     # re-bounds oracle, so a cold `eval` that needs neither never pays them.
+    # numpy.random (about 18 ms) waits for the first seeded draw of a suite.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = ("import sys, struveops.cli; "
-             "print([m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules])")
+    probe = ("import sys, struveops.cli; print([m for m in "
+             "('scipy.special', 'scipy.integrate', 'numpy.random') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "[]"

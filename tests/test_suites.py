@@ -1,0 +1,169 @@
+"""The suites draw each trial's randomness in one Generator call.
+
+Each test keeps the scalar draw loop the suite used before as its reference,
+and checks that the array draw returns the same doubles (compared by
+``repr``, so signed zeros count) and leaves the generator in the same state.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from struveops import MobiusTarget, StruveParams
+from struveops.specialfn import is_nonpositive_integer
+from struveops.suites import (
+    _inclusion_samples,
+    _random_complexes,
+    _random_hypergeom_case,
+    _random_normalized_series,
+    _random_struve_params,
+    _random_target,
+    _rng,
+)
+
+SEEDS = range(60)
+
+
+def scalar_complex(rng, scale=2.0):
+    re, im = rng.uniform(-scale, scale, size=2)
+    return complex(re, im)
+
+
+def scalar_normalized_series(rng, order):
+    coeffs = [0j, 1 + 0j]
+    for _ in range(order - 1):
+        coeffs.append(scalar_complex(rng, 1.0))
+    return coeffs
+
+
+def scalar_struve_params(rng):
+    """The rejection loop with one scalar draw per parameter; also returns
+    how many rounds it took."""
+    rounds = 0
+    while True:
+        rounds += 1
+        p = scalar_complex(rng)
+        b = scalar_complex(rng)
+        c = scalar_complex(rng)
+        k = p + (b + 2.0) / 2.0
+        if k.real <= 0.5 and abs(k.imag) < 0.15:
+            nearest = round(min(k.real, 0.0))
+            if abs(k - nearest) < 0.15:
+                continue
+        if is_nonpositive_integer(k):
+            continue
+        return StruveParams(p, b, c), rounds
+
+
+def scalar_inclusion_samples(rng, target):
+    f_vals, g_vals = [], []
+    for _ in range(16):
+        for out in (f_vals, g_vals):
+            if target.is_half_plane:
+                out.append(
+                    complex(target.half_plane_edge + rng.uniform(0.01, 3.0),
+                            rng.uniform(-3.0, 3.0))
+                )
+            else:
+                rho = target.radius * math.sqrt(rng.uniform(0.0, 0.98))
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                out.append(target.center + rho * cmath.exp(1j * ang))
+    return f_vals, g_vals
+
+
+def reprs(values):
+    return [repr(complex(v)) for v in values]
+
+
+def assert_same_state(rng, reference):
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 32])
+def test_normalized_series_has_the_scalar_draws(order):
+    for seed in SEEDS:
+        rng, ref = _rng(seed, 2, order), _rng(seed, 2, order)
+        series = _random_normalized_series(rng, order)
+        assert reprs(series.coeffs) == reprs(scalar_normalized_series(ref, order))
+        assert_same_state(rng, ref)
+
+
+@pytest.mark.parametrize("scale", [0.7, 1.0, 1.5, 2.0])
+def test_one_draw_of_n_complexes_is_n_scalar_draws(scale):
+    for seed in SEEDS:
+        rng, ref = _rng(seed, 5), _rng(seed, 5)
+        assert reprs(_random_complexes(rng, 9, scale)) == reprs(
+            scalar_complex(ref, scale) for _ in range(9))
+        assert_same_state(rng, ref)
+
+
+def test_struve_params_have_the_scalar_draws_rejections_included():
+    rejected = 0
+    for seed in range(2000):  # about 1 in 100 draws is rejected
+        rng, ref = _rng(seed, 1, 3), _rng(seed, 1, 3)
+        params = _random_struve_params(rng)
+        expected, rounds = scalar_struve_params(ref)
+        rejected += rounds - 1
+        assert reprs((params.p, params.b, params.c)) == reprs(
+            (expected.p, expected.b, expected.c))
+        assert_same_state(rng, ref)
+    assert rejected >= 10  # the rejection rounds were exercised
+
+
+def test_hypergeom_case_has_the_scalar_draws():
+    for seed in SEEDS:
+        rng, ref = _rng(seed, 1, 0), _rng(seed, 1, 0)
+        hp, z = _random_hypergeom_case(rng)
+        a = scalar_complex(ref, 1.5)
+        b = complex(ref.uniform(0.4, 2.2))
+        c = b + complex(ref.uniform(0.4, 2.2))
+        while True:
+            w = scalar_complex(ref, 0.7)
+            if abs(w) <= 0.7 and w.real < 0.35:
+                break
+        assert reprs((hp.a, hp.b, hp.c, z)) == reprs((a, b, c, w))
+        assert_same_state(rng, ref)
+
+
+def check_inclusion_samples(rng, ref, target):
+    pairs = _inclusion_samples(rng, target)
+    f_vals, g_vals = scalar_inclusion_samples(ref, target)
+    assert len(pairs) == 16 and all(len(pair) == 2 for pair in pairs)
+    assert reprs(f for f, _ in pairs) == reprs(f_vals)
+    assert reprs(g for _, g in pairs) == reprs(g_vals)
+    assert_same_state(rng, ref)
+
+
+def test_inclusion_disk_samples_have_the_scalar_draws():
+    # The convex suite's own trial streams: target, sigma, then the samples.
+    for seed in SEEDS:
+        for trial in range(3):
+            rng, ref = _rng(seed, 2, trial), _rng(seed, 2, trial)
+            target = _random_target(rng)
+            assert target == _random_target(ref) and not target.is_half_plane
+            assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+            check_inclusion_samples(rng, ref, target)
+
+
+def test_inclusion_half_plane_samples_have_the_scalar_draws():
+    # verify never reaches this branch: its targets have B >= -0.95.
+    for seed in SEEDS:
+        rng, ref = _rng(seed, 4), _rng(seed, 4)
+        A = float(rng.uniform(-0.99, 1.0))
+        assert A == float(ref.uniform(-0.99, 1.0))
+        target = MobiusTarget(A, -1.0)
+        assert target.is_half_plane
+        check_inclusion_samples(rng, ref, target)
+
+
+def test_inclusion_samples_lie_in_the_image():
+    # A = 1 puts the half-plane edge at Re w = 0.
+    for target in (MobiusTarget(1.0, -1.0), MobiusTarget(0.3, -1.0), MobiusTarget(0.5, 0.2)):
+        pairs = _inclusion_samples(np.random.default_rng(7), target)
+        for w in (w for pair in pairs for w in pair):
+            if target.is_half_plane:
+                assert w.real > target.half_plane_edge
+            else:
+                assert abs(w - target.center) < target.radius
