@@ -11,8 +11,6 @@ every certificate on seeded grids.
 from .bounds import (
     DominantParams,
     best_dominant_q,
-    bound_report,
-    briot_bouquet_target,
     lower_bound_h_minus1,
     modulus_bounds,
     q_starlike_certificate,
@@ -28,12 +26,9 @@ from .classes import (
     ClassParams,
     MobiusTarget,
     Verdict,
-    expression_evaluator,
-    j_functional,
     lemma3_check,
     lemma6_check,
     membership_samples,
-    membership_test,
     mobius_image_check,
 )
 from .errors import (
@@ -57,7 +52,6 @@ from .operator import (
     recurrence_residual,
 )
 from .series import (
-    DEFAULT_ORDER,
     PowerSeries,
     hadamard,
     ratio_sum,
@@ -79,7 +73,6 @@ __all__ = [
     "CONTAINMENT_TOL",
     "ClassParams",
     "ConvergenceError",
-    "DEFAULT_ORDER",
     "DEFAULT_RADII",
     "DomainError",
     "DominantParams",
@@ -93,9 +86,6 @@ __all__ = [
     "Verdict",
     "apply_s",
     "best_dominant_q",
-    "bound_report",
-    "briot_bouquet_target",
-    "expression_evaluator",
     "f21",
     "f21_euler",
     "f21_pfaff",
@@ -103,12 +93,10 @@ __all__ = [
     "gamma",
     "generalized_m",
     "hadamard",
-    "j_functional",
     "lemma3_check",
     "lemma6_check",
     "lower_bound_h_minus1",
     "membership_samples",
-    "membership_test",
     "mobius_image_check",
     "modulus_bounds",
     "normalized_n",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -157,17 +157,22 @@ def lower_bound_h_minus1(dp: DominantParams) -> float:
     return float(value)
 
 
+def _radius_c(lam: float, mu: float, k: float) -> float:
+    """``c = |lambda/(mu k)|``, the ratio both radius formulas are written in."""
+    if mu * k == 0:
+        raise ParameterError("mu*k = 0 leaves the ratio |lambda/(mu k)| undefined")
+    return abs(lam / (mu * k))
+
+
 def radius_positivity(lam: float, mu: float, k: float) -> float:
     """Radius ``r* = -c + sqrt(c^2 + 1)`` with ``c = |lambda/(mu k)|``.
 
     The membership functional keeps positive real part on |z| < r*; the
     formula lives in (0, 1) exactly when lambda != 0 and mu*k != 0.
     """
-    if mu * k == 0:
-        raise ParameterError("mu*k = 0 leaves the ratio |lambda/(mu k)| undefined")
+    c = _radius_c(lam, mu, k)
     if lam == 0:
         raise ParameterError("lambda = 0 degenerates the radius to the full disk")
-    c = abs(lam / (mu * k))
     return -c + math.sqrt(c * c + 1.0)
 
 
@@ -178,9 +183,7 @@ def radius_factor(lam: float, mu: float, k: float, r: float) -> float:
     """
     if not 0.0 <= r < 1.0:
         raise ParameterError(f"r must lie in [0, 1), got {r}")
-    if mu * k == 0:
-        raise ParameterError("mu*k = 0 leaves the ratio |lambda/(mu k)| undefined")
-    c = abs(lam / (mu * k))
+    c = _radius_c(lam, mu, k)
     return (1.0 - r * r - 2.0 * c * r) / (1.0 - r * r)
 
 
@@ -210,20 +213,17 @@ def _zqprime_over_q_direct(B: float, z: complex) -> complex:
     return z * qprime / q
 
 
-def q_starlike_certificate(A: float, B: float, grid_r: int = 50,
-                           grid_psi: int = 360) -> Verdict:
+def q_starlike_certificate(A: float, B: float) -> Verdict:
     """Certify starlikeness of ``Q(z) = const * (A-B) z / (1+Bz)^2``.
 
-    Sweeps the closed form of Re(z Q'/Q) over an (r, psi) grid with r < 1 and
-    additionally reconciles it against direct quotient-rule differentiation at
-    20 fixed interior points (the scalar prefactor cancels, so the certificate
-    is independent of A up to parameter validation).
+    Sweeps the closed form of Re(z Q'/Q) over a 50 x 360 (r, psi) grid with
+    r < 1 and additionally reconciles it against direct quotient-rule
+    differentiation at 20 fixed interior points (the scalar prefactor cancels,
+    so the certificate is independent of A up to parameter validation).
     """
     MobiusTarget(A, B)  # validates -1 <= B < A <= 1
-    if grid_r < 1 or grid_psi < 1:
-        raise ParameterError("grid sizes must be positive")
-    rs = np.linspace(0.99 / grid_r, 0.99, grid_r)
-    psis = np.linspace(0.0, 2.0 * math.pi, grid_psi, endpoint=False)
+    rs = np.linspace(0.99 / 50, 0.99, 50)
+    psis = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     values = re_zqprime_over_q(B, rs[:, None], psis)  # cos and sin of psis only
     idx = np.unravel_index(np.argmin(values), values.shape)
     worst = float(values[idx])
@@ -241,7 +241,7 @@ def q_starlike_certificate(A: float, B: float, grid_r: int = 50,
         passed=passed,
         margin=worst,
         witness_z=None if passed else witness,
-        samples_used=grid_r * grid_psi + 20,
+        samples_used=rs.size * psis.size + 20,
     )
 
 
@@ -277,33 +277,3 @@ def modulus_bounds(dp: DominantParams, r: float) -> tuple[float, float]:
         return lower, math.inf
     upper = A / B + (1.0 - A / B) * f21(hp, -B * r)[0].real
     return lower, upper
-
-
-def bound_report(theorem_id: str, dp: DominantParams,
-                 bounds: tuple[float, float],
-                 certificate_margin: Optional[float] = None) -> dict:
-    """JSON-ready record for a certified bound pair."""
-    return {
-        "theorem_id": theorem_id,
-        "params": {"A": dp.target.A, "B": dp.target.B, "beta": dp.beta},
-        "lower": bounds[0],
-        "upper": bounds[1],
-        "certificate_margin": certificate_margin,
-    }
-
-
-def briot_bouquet_target(A: float, B: float, lam: float, mu: float, k: float,
-                         z: complex, statement_variant: bool = False) -> complex:
-    """Perturbed target ``(1+Az)/(1+Bz) + coef (A-B) z/(1+Bz)^2``.
-
-    The consistent perturbation coefficient is ``lambda/(mu k)`` (the factor
-    multiplying z p'(z) in the governing differential expression);
-    ``statement_variant=True`` evaluates the transposed coefficient
-    ``lambda mu / k`` for comparison.
-    """
-    target = MobiusTarget(A, B)
-    if mu * k == 0:
-        raise ParameterError("mu*k = 0 leaves the perturbation undefined")
-    z = complex(z)
-    coef = lam * mu / k if statement_variant else lam / (mu * k)
-    return target.phi(z) + coef * (A - B) * z / (1.0 + B * z) ** 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -129,7 +129,9 @@ class ClassParams:
 
 
 def _functional(cp: ClassParams, z: np.ndarray, num: np.ndarray, den: np.ndarray) -> tuple:
-    """The class expression and ``arg(1/den)`` from ``S_k f / z = num``, ``S_{k+1} f / z = den``.
+    """The class expression and ``arg(1/den)`` from ``S_k f / z = num``, ``S_{k+1} f / z = den``:
+
+        e^(i alpha) { (1+lam) (z/S_{k+1}f)^mu - lam (S_k f / S_{k+1} f) (z/S_{k+1}f)^mu }.
 
     ``(1/den)^mu = |1/den|^mu e^(i mu arg(1/den))`` with the ``arctan2``
     argument that ``log`` takes: the principal branch, signed zeros included.
@@ -146,46 +148,8 @@ def _functional(cp: ClassParams, z: np.ndarray, num: np.ndarray, den: np.ndarray
 
 
 def _derotate(cp: ClassParams, value: complex | np.ndarray) -> complex | np.ndarray:
+    """J = (expression - i sin alpha) / cos alpha: 1 for f = z, the expression at alpha = 0."""
     return (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
-
-
-def expression_evaluator(cp: ClassParams, f: PowerSeries) -> Callable:
-    """Build the class functional once for repeated evaluation.
-
-    Both operator images are computed a single time; the returned function
-    evaluates
-
-        e^(i alpha) { (1+lam) (z/S_{k+1}f)^mu
-                      - lam (S_k f / S_{k+1} f) (z/S_{k+1}f)^mu }
-
-    using the z-shifted series, which makes z = 0 regular with value
-    e^(i alpha) instead of a removable singularity.  It accepts a scalar
-    (returning a complex) or an array of z (returning an array of the same
-    shape), and raises DomainError naming the first z, in input order, where
-    S_{k+1} f / z vanishes.  Horner's rule sums the images at any z.
-    """
-    # Highest power first, constant term dropped: np.polyval then gives S f / z.
-    lo = np.array(apply_s(cp.struve, f).coeffs[:0:-1])
-    hi = np.array(apply_s(cp.struve.shifted(), f).coeffs[:0:-1])
-
-    def evaluate_at(z: complex | np.ndarray) -> complex | np.ndarray:
-        zs = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            value, _ = _functional(cp, zs, np.polyval(lo, zs), np.polyval(hi, zs))
-        return complex(value) if zs.ndim == 0 else value
-
-    return evaluate_at
-
-
-def j_functional(cp: ClassParams, f: PowerSeries,
-                 z: complex | np.ndarray) -> complex | np.ndarray:
-    """De-rotated functional ``(expression - i sin alpha) / cos alpha``.
-
-    Equals the class expression itself when alpha = 0 and is identically 1
-    for f(z) = z regardless of the remaining parameters.  Takes a scalar or
-    an array of z, like :func:`expression_evaluator`.
-    """
-    return _derotate(cp, expression_evaluator(cp, f)(z))
 
 
 def _on_circles(coeffs: Sequence[complex], radii: np.ndarray, points: int) -> np.ndarray:
@@ -265,17 +229,6 @@ def verdict_from_samples(z: np.ndarray, margin: np.ndarray) -> Verdict:
         witness_z=None if passed else complex(z[i]),
         samples_used=int(margin.size),
     )
-
-
-def membership_test(
-    cp: ClassParams,
-    f: PowerSeries,
-    radii: Sequence[float] = DEFAULT_RADII,
-    points_per_circle: int = 720,
-) -> Verdict:
-    """Sample the de-rotated functional on circles and check containment."""
-    z, _, margin = membership_samples(cp, f, radii, points_per_circle)
-    return verdict_from_samples(z, margin)
 
 
 def lemma6_check(inner: MobiusTarget, outer: MobiusTarget) -> Verdict:

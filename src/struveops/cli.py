@@ -95,6 +95,7 @@ def positive_int(text: str) -> int:
 
 
 MAX_NODES = 2048  #: Largest ``eval q --nodes``: a Gauss-Jacobi rule costs O(n^2) to build.
+MAX_SAMPLES = 1_000_000  #: Most ``member`` samples, ``--points`` x radii: 10^6 take ~150 MB.
 
 
 def node_count(text: str) -> int:
@@ -186,6 +187,10 @@ class UsageError(Exception):
 
 
 def cmd_member(args: argparse.Namespace) -> int:
+    radii = args.radii if args.radii is not None else DEFAULT_RADII
+    if len(radii) * args.points > MAX_SAMPLES:
+        raise UsageError(f"{len(radii)} radii x {args.points} points exceed "
+                         f"{MAX_SAMPLES} samples")
     f = _load_coefficients(args.coeffs)
     if not f.is_normalized():
         raise UsageError("coefficient file must describe a normalized series "
@@ -197,7 +202,6 @@ def cmd_member(args: argparse.Namespace) -> int:
         struve=_struve(args),
         target=MobiusTarget(args.A, args.B),
     )
-    radii = args.radii if args.radii is not None else DEFAULT_RADII
     z, value, margin = membership_samples(cp, f, radii, args.points)
     if args.dump:
         columns = (z.real, z.imag, value.real, value.imag, margin)

@@ -17,6 +17,7 @@ is kept as the independent cross-check path.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,17 @@ def f21_series(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
     """``sum (a)_n (b)_n z^n / ((c)_n n!)`` on |z| < 1 by ``ratio_sum``.
 
     Returns ``(value, est_error, terms)``.  Summation stops once
-    |term| / (1 - |z|) drops below ``tol``.
+    |term| / (1 - |z|) drops below ``tol``, but not before n passes -Re a,
+    -Re b and -Re c: the terms can dip below ``tol`` there and swell again.
     """
     z = complex(z)
     r = abs(z)
     if not r < 1.0:  # NaN included
         raise DomainError(f"2F1 series needs |z| < 1, got |z| = {r:g}")
     a, b, c = hp.a, hp.b, hp.c
-    return ratio_sum(1 + 0j, lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z, r, tol)
+    start = math.ceil(max(0.0, -a.real, -b.real, -c.real))
+    return ratio_sum(1 + 0j, lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z, r, tol,
+                     start)
 
 
 def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> complex:

@@ -12,11 +12,11 @@ b held fixed.
 from __future__ import annotations
 
 from .errors import ParameterError
-from .series import DEFAULT_ORDER, PowerSeries, Result, gamma_n, hadamard, scaled
+from .series import PowerSeries, Result, gamma_n, hadamard, scaled
 from .specialfn import StruveParams, normalized_n, normalized_n_series
 
 
-def phi_series(params: StruveParams, order: int = DEFAULT_ORDER) -> PowerSeries:
+def phi_series(params: StruveParams, order: int) -> PowerSeries:
     """Kernel coefficients: 0, 1, then ``(-c/4)^n / ((3/2)_n (k)_n)`` at z^(n+1).
 
     The kernel is ``z`` times the normalized series, ``phi(z) = z N(z)``.

@@ -17,9 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError, ParameterError, PoleError
 
-#: Default truncation order.  Coefficients of the operator kernels decay
-#: factorially, so 64 terms leave residuals far below 1e-12 for |z| <= 0.95.
-DEFAULT_ORDER = 64
 #: Most terms ``ratio_sum`` adds before it gives up.
 MAX_TERMS = 100_000
 #: ``(value, est_error, terms)``: what every series evaluator returns.
@@ -51,26 +48,19 @@ class PowerSeries:
     def __getitem__(self, n: int) -> complex:
         return self.coeffs[n]
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def is_normalized(self) -> bool:
         """True when the series is ``z + a2 z^2 + ...`` to within 1e-12."""
         if self.order < 1:
             return False
         return abs(self.coeffs[0]) <= 1e-12 and abs(self.coeffs[1] - 1.0) <= 1e-12
 
-    def to_pairs(self) -> list[list[float]]:
-        """JSON form: one ``[re, im]`` pair per power of z, index = power."""
-        return [[c.real, c.imag] for c in self.coeffs]
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "PowerSeries":
-        """Inverse of :meth:`to_pairs`."""
+        """From JSON: one ``[re, im]`` pair per power of z, index = power."""
         return cls(tuple(complex(p[0], p[1]) for p in pairs))
 
     @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> "PowerSeries":
+    def identity(cls, order: int) -> "PowerSeries":
         """The function ``z`` padded with zeros up to ``order``."""
         return cls((0j, 1 + 0j) + (0j,) * (order - 1))
 
@@ -87,9 +77,12 @@ def gamma_n(n: int) -> float:
     return nu / (1.0 - nu)
 
 
-def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: float) -> Result:
+def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: float,
+              start: int = 0) -> Result:
     """Sum ``t_0 = first``, ``t_(n+1) = t_n * ratio(n)`` up to the first ``t_N``
-    with ``|t_N| / (1 - rho) < tol``; ``rho < 1`` is the limit of ``|ratio(n)|``.
+    with ``|t_N| / (1 - rho) < tol``, ``N > start`` and ``|ratio(N - 1)| < 1``;
+    ``rho < 1`` is the limit of ``|ratio(n)|``, and ``start`` an index past
+    which ``|ratio(n)|`` no longer climbs above ``max(rho, |ratio(N - 1)|)``.
 
     Returns ``(sum, est_error, N + 1)``.  ``est_error`` is the rounding bound
     ``gamma_(8N) sum |t_n|`` (Higham, *Accuracy and Stability of Numerical
@@ -106,22 +99,21 @@ def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: 
     size = abs(term)
     try:
         for n in range(MAX_TERMS):
-            term *= ratio(n)
+            r = ratio(n)
+            term *= r
             total += term
             mag = abs(term)
             size += mag
-            if mag / gap < tol:
+            if mag / gap < tol and n >= start and abs(r) < 1.0:
                 break
             if not size < math.inf:  # an infinite or NaN term never stops the loop
                 raise DomainError(f"series term {n + 1} is not finite: {term}")
         else:
             raise ConvergenceError(f"series did not reach tol={tol:g} within {MAX_TERMS} terms")
-        r = ratio(n)
     except ZeroDivisionError:
         raise PoleError(f"zero denominator in the ratio of term {n + 1} to term {n}") from None
     last = max(abs(r), rho)
-    tail = mag * last / (1.0 - last) if last < 1.0 else (math.inf if mag else 0.0)
-    est = gamma_n(8 * (n + 1)) * size + tail
+    est = gamma_n(8 * (n + 1)) * size + mag * last / (1.0 - last)
     if est and not est < abs(total):
         raise ConvergenceError(f"no correct digit: error bound {est:g} >= |sum| "
                                f"{abs(total):g} after {n + 2} terms")

@@ -31,7 +31,6 @@ import numpy as np
 from .bounds import (
     DominantParams,
     best_dominant_q,
-    bound_report,
     lower_bound_h_minus1,
     modulus_bounds,
     q_starlike_certificate,
@@ -40,7 +39,7 @@ from .bounds import (
     re_bounds,
     sharp_bound_h,
 )
-from .classes import MobiusTarget, lemma3_check, lemma6_check, mobius_image_check
+from .classes import CONTAINMENT_TOL, MobiusTarget, lemma3_check, lemma6_check, mobius_image_check
 from .errors import ParameterError
 from .hypergeom import HypergeomParams, f21_euler, f21_pfaff, f21_series
 from .operator import recurrence_residual
@@ -64,6 +63,18 @@ def _params(params: StruveParams | DominantParams) -> dict:
         return {name: [v.real, v.imag] for name, v in
                 (("p", params.p), ("b", params.b), ("c", params.c))}
     return {"A": params.target.A, "B": params.target.B, "beta": params.beta}
+
+
+def _bound_report(theorem_id: str, dp: DominantParams, bounds: tuple[float, float],
+                  certificate_margin: float) -> dict:
+    """A record's ``report`` for a certified bound pair."""
+    return {
+        "theorem_id": theorem_id,
+        "params": _params(dp),
+        "lower": bounds[0],
+        "upper": bounds[1],
+        "certificate_margin": certificate_margin,
+    }
 
 
 def _random_complexes(rng: np.random.Generator, n: int, scale: float = 2.0) -> list[complex]:
@@ -113,13 +124,12 @@ def run_recurrence(seed: int = 0, trials: int = 100, tol: float = 1e-12) -> list
     return records
 
 
-def run_ode(seed: int = 0, trials: int = 100, tol: float = 1e-10,
-            order: int = 32) -> list[dict]:
+def run_ode(seed: int = 0, trials: int = 100, tol: float = 1e-10) -> list[dict]:
     """Coefficientwise ODE residual of the normalized kernel series."""
     records = []
     for i in range(trials):
         sp = _random_struve_params(_rng(seed, 1, i))
-        value = ode_residual_n(sp, order)
+        value = ode_residual_n(sp, 32)
         records.append(
             _record("ode", f"trial-{i:03d}", value <= tol,
                     value=value, tol=tol, params=_params(sp))
@@ -183,8 +193,7 @@ def _random_dominant(rng: np.random.Generator, b_low: float = -0.95,
     return DominantParams(beta, target)
 
 
-def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9,
-                 points: int = 50) -> list[dict]:
+def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9) -> list[dict]:
     """Closed form vs quadrature for the dominant, plus image containment.
 
     q is evaluated once per trial on the agreement points and once per
@@ -198,7 +207,7 @@ def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9,
         rng = _rng(seed, 1, i)
         dp = _random_dominant(rng)
         zs = []
-        for _ in range(points):
+        for _ in range(50):
             r = float(rng.uniform(0.05, 0.9))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             zs.append(r * cmath.exp(1j * theta))
@@ -213,8 +222,8 @@ def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9,
         q = np.concatenate([best_dominant_q(dp, z)[0] for z in circles])
         margin = float(mobius_image_check(dp.target, q).min())
         records.append(
-            _record("dominant", f"containment-{i:02d}", margin >= -1e-9,
-                    margin=margin, tol=1e-9)
+            _record("dominant", f"containment-{i:02d}", margin >= -CONTAINMENT_TOL,
+                    margin=margin, tol=CONTAINMENT_TOL)
         )
     return records
 
@@ -254,7 +263,7 @@ def run_starlike(seed: int = 0, trials: int = 20, tol: float = 1e-10) -> list[di
     for i in range(trials):
         rng = _rng(seed, 1, i)
         target = _random_target(rng, b_low=-0.99, b_high=0.99)
-        verdict = q_starlike_certificate(target.A, target.B, grid_r=50, grid_psi=360)
+        verdict = q_starlike_certificate(target.A, target.B)
         records.append(
             _record("starlike", f"trial-{i:02d}", verdict.passed,
                     margin=verdict.margin, tol=tol,
@@ -292,7 +301,7 @@ def run_re_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-8) -> list[di
         records.append(
             _record("re-bounds", f"trial-{i:02d}", value <= tol, value=value,
                     tol=tol,
-                    report=bound_report("re-bounds", dp, (lower, upper), value))
+                    report=_bound_report("re-bounds", dp, (lower, upper), value))
         )
         anchor = abs(lower - lower_bound_h_minus1(dp))
         records.append(
@@ -326,7 +335,7 @@ def run_modulus_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-5) -> li
         records.append(
             _record("modulus-bounds", f"limit-{i:02d}", value <= tol,
                     value=value, tol=tol,
-                    report=bound_report("modulus-bounds", dp, (lo_lim, up_lim), value))
+                    report=_bound_report("modulus-bounds", dp, (lo_lim, up_lim), value))
         )
     return records
 

@@ -19,8 +19,8 @@ from struveops import (
     PowerSeries,
     StruveParams,
     apply_s,
-    j_functional,
     lower_bound_h_minus1,
+    membership_samples,
     re_zqprime_over_q,
     sharp_bound_h,
 )
@@ -59,7 +59,7 @@ def test_criterion_01_recurrence_certificate():
 
 def test_criterion_02_ode_certificate():
     t0 = time.perf_counter()
-    records = run_ode(seed=SEED, trials=100, tol=1e-10, order=32)
+    records = run_ode(seed=SEED, trials=100, tol=1e-10)
     elapsed = time.perf_counter() - t0
     worst = max(r["value"] for r in records)
     ok = all(r["passed"] for r in records) and len(records) == 100
@@ -87,7 +87,7 @@ def test_criterion_03_hypergeom_three_way():
 
 def test_criterion_04_best_dominant_consistency():
     t0 = time.perf_counter()
-    records = run_dominant(seed=SEED, trials=10, tol=1e-9, points=50)
+    records = run_dominant(seed=SEED, trials=10, tol=1e-9)
     elapsed = time.perf_counter() - t0
     agreement = [r for r in records if r["check"].startswith("agreement")]
     containment = [r for r in records if r["check"].startswith("containment")]
@@ -220,8 +220,9 @@ def test_criterion_10_identity_anchors():
             struve=StruveParams(p, b, c),
             target=MobiusTarget(A, B),
         )
-        z = rng.uniform(0.05, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        worst = max(worst, abs(j_functional(cp, f, z) - 1.0))
+        r = float(rng.uniform(0.05, 0.9))
+        j = membership_samples(cp, f, (r,), 16)[1]
+        worst = max(worst, float(np.abs(j - 1.0).max()))
     # degenerate kernel: c = 0 reduces every normalized series to z, exactly
     exact = True
     for _ in range(10):

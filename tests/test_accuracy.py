@@ -133,3 +133,23 @@ def test_value_within_reported_error(target):
         assert error <= est, f"{target} case {i}: error {error:.3g} > est_error {est:.3g}"
         checked += 1
     assert checked >= CASES // 2
+
+
+def test_f21_negative_c_within_reported_error():
+    # With c < 0 the terms can dip below tol and swell again near n = -Re c,
+    # where the series once stopped with a tail bound that did not hold.  A
+    # 30-digit mpmath is itself wrong on some of these draws.
+    rng = np.random.default_rng(7)
+    checked = 0
+    for i in range(200):
+        a, b, c = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(-120.0, 0.0)
+        z = _disk_point(rng, 0.99 * math.sqrt(rng.uniform()))
+        try:
+            value, est, _ = f21(HypergeomParams(a, b, c), z)
+        except NumericsError:
+            continue
+        with mpmath.workdps(60):
+            error = abs(value - complex(mpmath.hyp2f1(a, b, c, z)))
+        assert error <= est, f"case {i}: error {error:.3g} > est_error {est:.3g}"
+        checked += 1
+    assert checked >= 150

@@ -12,7 +12,6 @@ from struveops import (
     MobiusTarget,
     ParameterError,
     best_dominant_q,
-    briot_bouquet_target,
     lemma3_check,
     lower_bound_h_minus1,
     mobius_image_check,
@@ -295,7 +294,7 @@ class TestRadius:
 
 class TestStarlike:
     def test_b_zero_is_constant_one(self):
-        verdict = q_starlike_certificate(1.0, 0.0, grid_r=10, grid_psi=36)
+        verdict = q_starlike_certificate(1.0, 0.0)
         assert verdict.passed
         assert verdict.margin == pytest.approx(1.0)
 
@@ -338,9 +337,17 @@ class TestStarlike:
             br = B * R
             old = (1.0 - br * br) / ((1.0 + br * np.cos(PSI)) ** 2 + (br * np.sin(PSI)) ** 2)
             assert re_zqprime_over_q(B, rs[:, None], psis).tobytes() == old.tobytes()
-            verdict = q_starlike_certificate(1.0, B, grid_r=grid_r, grid_psi=grid_psi)
+
+    def test_margin_is_the_minimum_of_the_50_by_360_meshgrid(self):
+        rs = np.linspace(0.99 / 50, 0.99, 50)
+        psis = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        R, PSI = np.meshgrid(rs, psis, indexing="ij")
+        for B in (-0.99, -0.5, 0.0, 0.99, *np.random.default_rng(18000).uniform(-0.99, 0.99, 6)):
+            br = B * R
+            old = (1.0 - br * br) / ((1.0 + br * np.cos(PSI)) ** 2 + (br * np.sin(PSI)) ** 2)
+            verdict = q_starlike_certificate(1.0, float(B))
             assert repr(verdict.margin) == repr(float(old.min()))
-            assert verdict.passed and verdict.samples_used == grid_r * grid_psi + 20
+            assert verdict.passed and verdict.samples_used == 50 * 360 + 20
 
     def test_first_inconsistent_check_point_is_the_witness(self, monkeypatch):
         from struveops import bounds
@@ -359,7 +366,7 @@ class TestStarlike:
         assert re_zqprime_over_q(-0.5, 0.8, 0.0) == pytest.approx(0.84 / 0.36)
 
     def test_strong_b_fine_grid(self):
-        verdict = q_starlike_certificate(1.0, 0.99, grid_r=80, grid_psi=360)
+        verdict = q_starlike_certificate(1.0, 0.99)
         assert verdict.passed
         assert verdict.margin > 0.0
 
@@ -478,18 +485,17 @@ class TestInclusionInterpolant:
 
 class TestLambdaNegativeIdentity:
     def test_recovers_ratio_term_from_class_machinery(self):
-        from struveops import ClassParams, PowerSeries, StruveParams
-        from struveops.classes import expression_evaluator
+        from struveops import ClassParams, PowerSeries, StruveParams, membership_samples
 
         lam = -2.5
         sp = StruveParams(0.5, 1.0, 1.0)
         f = PowerSeries((0, 1, 0.4, -0.3) + (0,) * 12)
-        z = complex(0.3, 0.2)
 
         def expression(lam):
+            # At alpha = 0 the sampled J is the expression itself.
             cp = ClassParams(alpha=0.0, lam=lam, mu=0.5, struve=sp,
                              target=MobiusTarget(1.0, -1.0))
-            return expression_evaluator(cp, f)(z)
+            return membership_samples(cp, f, (abs(complex(0.3, 0.2)),), 12)[1]
 
         e2 = expression(lam)
         # e1 = the pure fractional-power term = expression at lambda = 0
@@ -498,31 +504,15 @@ class TestLambdaNegativeIdentity:
         direct = expression(-1.0)
         # the rearrangement (1 + 1/lambda) e1 - (1/lambda) e2 recovers it
         value = (1.0 + 1.0 / lam) * e1 - (1.0 / lam) * e2
-        assert abs(value - direct) <= 1e-12
-
-
-class TestBriotBouquet:
-    def test_value_at_zero(self):
-        assert briot_bouquet_target(1.0, -0.5, 2.0, 0.5, 2.0, 0.0) == 1.0
-
-    def test_variant_flag_changes_coefficient(self):
-        z = complex(0.3, 0.1)
-        A, B, lam, mu, k = 1.0, -0.5, 2.0, 0.5, 2.0
-        proof = briot_bouquet_target(A, B, lam, mu, k, z)
-        statement = briot_bouquet_target(A, B, lam, mu, k, z, statement_variant=True)
-        base = (1.0 + A * z) / (1.0 + B * z)
-        bump = (A - B) * z / (1.0 + B * z) ** 2
-        assert abs(proof - (base + lam / (mu * k) * bump)) <= 1e-15
-        assert abs(statement - (base + lam * mu / k * bump)) <= 1e-15
-        assert proof != statement
+        assert np.abs(value - direct).max() <= 1e-12
 
 
 def test_bound_report_schema():
-    from struveops import bound_report
+    from struveops.suites import _bound_report
 
     dp = dominant(0.5, 0.25, 1.0)
     lower, upper = re_bounds(dp)
-    record = bound_report("re-bounds", dp, (lower, upper), 3e-14)
+    record = _bound_report("re-bounds", dp, (lower, upper), 3e-14)
     assert record == {
         "theorem_id": "re-bounds",
         "params": {"A": 0.5, "B": 0.25, "beta": 1.0},

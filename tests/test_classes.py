@@ -7,6 +7,7 @@ import pytest
 
 from struveops import (
     CONTAINMENT_TOL,
+    DEFAULT_RADII,
     ClassParams,
     DomainError,
     MobiusTarget,
@@ -14,16 +15,13 @@ from struveops import (
     PowerSeries,
     StruveParams,
     apply_s,
-    expression_evaluator,
-    j_functional,
     lemma3_check,
     lemma6_check,
     membership_samples,
-    membership_test,
     mobius_image_check,
     phi_series,
 )
-from struveops.classes import _functional, _on_circles, verdict_from_samples
+from struveops.classes import _derotate, _functional, _on_circles, verdict_from_samples
 from struveops.specialfn import cpow
 
 HALF_PLANE = MobiusTarget(1.0, -1.0)
@@ -32,6 +30,17 @@ REFERENCE = StruveParams(0.5, 1.0, 1.0)
 
 def make_cp(alpha=0.0, lam=1.0, mu=0.5, struve=REFERENCE, target=HALF_PLANE):
     return ClassParams(alpha=alpha, lam=lam, mu=mu, struve=struve, target=target)
+
+
+def sampled_verdict(cp, f, radii=DEFAULT_RADII, points_per_circle=720):
+    """What ``struveops member`` reports: the samples min-reduced to a verdict."""
+    z, _, margin = membership_samples(cp, f, radii, points_per_circle)
+    return verdict_from_samples(z, margin)
+
+
+def j_on_circles(cp, f, radii, points_per_circle=8):
+    """The sampled de-rotated functional J alone."""
+    return membership_samples(cp, f, radii, points_per_circle)[1]
 
 
 class TestMobiusTarget:
@@ -115,16 +124,16 @@ class TestClassParams:
 
 class TestClassExpression:
     def test_identity_series_gives_rotation(self):
+        # The expression is e^(i alpha) for f = z, so its de-rotation J is 1.
         f = PowerSeries.identity(16)
         for alpha in (0.0, 0.4, -1.2):
             cp = make_cp(alpha=alpha, lam=complex(0.3, 0.8))
-            expected = complex(math.cos(alpha), math.sin(alpha))
-            for z in (0.0, 0.5, complex(-0.3, 0.6)):
-                assert abs(expression_evaluator(cp, f)(z) - expected) <= 1e-14
+            values = j_on_circles(cp, f, (0.5, abs(complex(-0.3, 0.6))), 36)
+            assert np.abs(values - 1.0).max() <= 1e-14
 
     def test_trivial_parameters(self):
         cp = make_cp(alpha=0.0, lam=0.0)
-        assert abs(expression_evaluator(cp, PowerSeries.identity(8))(0.7) - 1.0) <= 1e-14
+        assert np.abs(j_on_circles(cp, PowerSeries.identity(8), (0.7,)) - 1.0).max() <= 1e-14
 
     def test_against_independent_composition(self):
         # Second implementation path: operator coefficients from gamma-ratio
@@ -156,7 +165,8 @@ class TestClassExpression:
             s_hi = op_value(3, z)
             u = mpmath.power(mpmath.mpc(z) / s_hi, mpmath.mpf(1) / 2)
             oracle = complex((1 + 1) * u - 1 * (s_lo / s_hi) * u)
-        assert abs(expression_evaluator(cp, f)(z) - oracle) <= 1e-10
+        # One sample at angle 0 on |z| = 0.1 is z = 0.1; alpha = 0 makes J the expression.
+        assert abs(j_on_circles(cp, f, (z,), 1)[0] - oracle) <= 1e-10
 
     def test_vanishing_denominator_signaled(self):
         # S_{k+1} f = z (1 + s2 z) vanishes at z = -1/s2 inside the disk.
@@ -168,7 +178,7 @@ class TestClassExpression:
         assert abs(z0) < 1.0
         cp = make_cp(struve=sp)
         with pytest.raises(DomainError):
-            expression_evaluator(cp, f)(z0)
+            membership_samples(cp, f, (z0,), 1)  # the one sample is z0
 
 
 class TestJFunctional:
@@ -181,18 +191,16 @@ class TestJFunctional:
                 lam=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                 mu=rng.uniform(0.05, 0.95),
             )
-            z = 0.8 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            assert abs(j_functional(cp, f, z) - 1.0) <= 1e-14
+            assert np.abs(j_on_circles(cp, f, (0.8,), 16) - 1.0).max() <= 1e-14
 
     def test_alpha_zero_equals_expression(self):
         cp = make_cp(alpha=0.0, lam=2.0)
-        f = PowerSeries((0, 1, 0.5, -0.25))
-        z = complex(0.4, 0.1)
-        assert j_functional(cp, f, z) == expression_evaluator(cp, f)(z)
+        values = j_on_circles(cp, PowerSeries((0, 1, 0.5, -0.25)), (0.2, abs(complex(0.4, 0.1))))
+        assert np.array_equal(_derotate(cp, values), values)
 
     def test_rotated_identity(self):
         cp = make_cp(alpha=math.pi / 4)
-        assert abs(j_functional(cp, PowerSeries.identity(8), 0.5) - 1.0) <= 1e-14
+        assert np.abs(j_on_circles(cp, PowerSeries.identity(8), (0.5,)) - 1.0).max() <= 1e-14
 
 
 class TestMembership:
@@ -207,7 +215,7 @@ class TestMembership:
                 lam=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                 target=MobiusTarget(A, B),
             )
-            verdict = membership_test(cp, f, radii=(0.3, 0.6, 0.9), points_per_circle=60)
+            verdict = sampled_verdict(cp, f, radii=(0.3, 0.6, 0.9), points_per_circle=60)
             assert verdict.passed and verdict.margin > 0
             assert verdict.witness_z is None
             assert verdict.samples_used == 180
@@ -217,7 +225,7 @@ class TestMembership:
         rng = np.random.default_rng(44)
         coeffs = (0, 1) + tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(10))
         cp = make_cp(lam=complex(1.5, -0.4), struve=sp)
-        verdict = membership_test(cp, PowerSeries(coeffs), radii=(0.5, 0.9),
+        verdict = sampled_verdict(cp, PowerSeries(coeffs), radii=(0.5, 0.9),
                                   points_per_circle=36)
         assert verdict.passed
 
@@ -227,17 +235,14 @@ class TestMembership:
         lam, a2 = 30.0, 2.0
         f = PowerSeries((0, 1, a2) + (0,) * 14)
         cp = make_cp(lam=lam)
-        evaluator = expression_evaluator(cp, f)
-        brute = min(
-            evaluator(0.95 * cmath.exp(2j * math.pi * j / 720)).real
-            for j in range(720)
-        )
+        j_at = {z: j for z, j, _ in scalar_reference(cp, f, (0.95,), 720)}
+        brute = min(j.real for j in j_at.values())
         assert brute < 0
-        verdict = membership_test(cp, f)
+        verdict = sampled_verdict(cp, f)
         assert not verdict.passed
         assert verdict.margin < 0
         assert verdict.witness_z is not None
-        assert evaluator(verdict.witness_z).real < 0
+        assert j_at[verdict.witness_z].real < 0
         assert abs(verdict.margin - brute) <= 1e-12
 
     def test_half_plane_margin_matches_image_check(self):
@@ -253,8 +258,8 @@ class TestMembership:
         lam, a2 = 30.0, 2.0
         f = PowerSeries((0, 1, a2) + (0,) * 14)
         cp = make_cp(lam=lam)
-        small = membership_test(cp, f, radii=(0.9, 0.95), points_per_circle=360)
-        big = membership_test(cp, f, radii=(0.5, 0.9, 0.95), points_per_circle=360)
+        small = sampled_verdict(cp, f, radii=(0.9, 0.95), points_per_circle=360)
+        big = sampled_verdict(cp, f, radii=(0.5, 0.9, 0.95), points_per_circle=360)
         assert not small.passed
         assert not big.passed
         assert big.margin <= small.margin + 1e-15
@@ -263,11 +268,11 @@ class TestMembership:
         cp = make_cp()
         f = PowerSeries.identity(8)
         with pytest.raises(ParameterError):
-            membership_test(cp, f, radii=(0.5, 0.4))
+            sampled_verdict(cp, f, radii=(0.5, 0.4))
         with pytest.raises(ParameterError):
-            membership_test(cp, f, radii=(0.0, 0.5))
+            sampled_verdict(cp, f, radii=(0.0, 0.5))
         with pytest.raises(ParameterError):
-            membership_test(cp, f, radii=())
+            sampled_verdict(cp, f, radii=())
 
 
 class TestLemma6:
@@ -347,7 +352,7 @@ class TestLemma3:
 
 def test_verdict_json_shape():
     cp = make_cp()
-    verdict = membership_test(cp, PowerSeries.identity(8), radii=(0.5,),
+    verdict = sampled_verdict(cp, PowerSeries.identity(8), radii=(0.5,),
                               points_per_circle=8)
     data = verdict.to_json()
     assert set(data) == {"passed", "witness", "margin", "samples_used"}
@@ -357,7 +362,7 @@ def test_verdict_json_shape():
 
 
 def scalar_reference(cp, f, radii, points):
-    """Per-point Horner sampling of the de-rotated functional: ``[(z, margin)]``.
+    """Per-point Horner sampling of the de-rotated functional: ``[(z, J, margin)]``.
 
     An independent scalar path (Python complex arithmetic, ``cmath``) for the
     array implementation to agree with.
@@ -383,7 +388,7 @@ def scalar_reference(cp, f, radii, points):
             pm = cpow(1.0 / den, cp.mu)
             value = eia * ((1.0 + cp.lam) * pm - cp.lam * (shifted_horner(s_lo, z) / den) * pm)
             value = (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
-            out.append((z, mobius_image_check(cp.target, value)))
+            out.append((z, value, mobius_image_check(cp.target, value)))
     return out
 
 
@@ -423,11 +428,11 @@ class TestArrayEquivalence:
         ref = scalar_reference(cp, f, self.RADII, self.POINTS)
         z, _, margins = membership_samples(cp, f, self.RADII, self.POINTS)
         ref_z = np.array([s[0] for s in ref])
-        ref_margins = np.array([s[1] for s in ref])
+        ref_margins = np.array([s[2] for s in ref])
         assert np.array_equal(z, ref_z)
         assert np.max(np.abs(margins - ref_margins)) <= 1e-12
 
-        verdict = membership_test(cp, f, self.RADII, self.POINTS)
+        verdict = sampled_verdict(cp, f, self.RADII, self.POINTS)
         assert verdict.samples_used == len(self.RADII) * self.POINTS
         assert abs(verdict.margin - ref_margins.min()) <= 1e-12
         assert verdict.passed == (verdict.margin >= -CONTAINMENT_TOL)
@@ -440,7 +445,7 @@ class TestArrayEquivalence:
 
     def test_seeded_cases_cover_both_verdicts(self):
         verdicts = [
-            membership_test(*seeded_case(1000 + seed, half), self.RADII, self.POINTS).passed
+            sampled_verdict(*seeded_case(1000 + seed, half), self.RADII, self.POINTS).passed
             for seed in range(6) for half in (False, True)
         ]
         assert any(verdicts) and not all(verdicts)
@@ -452,16 +457,6 @@ class TestArrayEquivalence:
         assert verdict.margin == -0.5
         assert verdict.witness_z == 0.2j
         assert verdict.samples_used == 5
-
-    def test_scalar_input_returns_complex(self):
-        cp, f = seeded_case(7, False)
-        evaluate_at = expression_evaluator(cp, f)
-        z = complex(0.3, -0.4)
-        assert type(evaluate_at(z)) is complex
-        grid = np.array([[z, 0.1], [0.2j, -0.5]])
-        values = evaluate_at(grid)
-        assert values.shape == (2, 2)
-        assert abs(values[0, 0] - evaluate_at(z)) <= 1e-15
 
     def test_vanishing_denominator_names_first_sample(self):
         # S_{k+1} f / z = (1 - z/z1)(1 - z/z2) with both roots on the grid:
@@ -490,7 +485,6 @@ class TestArrayEquivalence:
         def fail(*args, **kwargs):
             raise AssertionError("evaluated before the sampling was validated")
 
-        monkeypatch.setattr(classes, "expression_evaluator", fail)
         monkeypatch.setattr(classes, "apply_s", fail)
         with pytest.raises(ParameterError):
             membership_samples(make_cp(), PowerSeries.identity(8), radii, points)
@@ -515,9 +509,10 @@ class TestCircleEvaluation:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_samples_match_expression_evaluator(self, seed):
+        # The evaluator is the scalar Horner reference, at the same z.
         cp, f = seeded_case(2000 + seed, seed % 2 == 0)
-        z, values, _ = membership_samples(cp, f, (0.3, 0.7, 0.95), 180)
-        ref = j_functional(cp, f, z)
+        _, values, _ = membership_samples(cp, f, (0.3, 0.7, 0.95), 180)
+        ref = np.array([j for _, j, _ in scalar_reference(cp, f, (0.3, 0.7, 0.95), 180)])
         assert np.abs(values - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
     def test_real_form_power_keeps_the_principal_branch(self):
@@ -561,14 +556,14 @@ class TestWinding:
         # while every sample of J is finite and, before the check, passed.
         f = PowerSeries((0, 1, 1e308, 1e308))
         with pytest.raises(DomainError, match=r"winding number 1 around 0 on \|z\| = 0\.95,"):
-            membership_test(make_cp(), f)
+            sampled_verdict(make_cp(), f)
 
 
 class TestNonFinite:
     def test_nan_coefficient_raises(self):
         f = PowerSeries((0, 1, complex("nan")))
         with pytest.raises(DomainError, match=r"not finite at z = \(0\.5\+0j\)"):
-            membership_test(make_cp(), f, radii=(0.5, 0.9), points_per_circle=12)
+            sampled_verdict(make_cp(), f, radii=(0.5, 0.9), points_per_circle=12)
 
     def test_overflow_names_first_non_finite_sample(self):
         # S_k f / z = 1 + 1.2e308 (z + z^2): finite coefficients whose true
@@ -585,10 +580,10 @@ class TestNonFinite:
         with pytest.raises(DomainError, match=r"winding number 1 around 0 on \|z\| = 0\.5,"):
             membership_samples(cp, f, radii[:3], 36)
         with pytest.raises(DomainError, match=r"not finite at z = \(0\.9\+0j\)"):
-            membership_test(cp, f, radii=radii, points_per_circle=36)
+            sampled_verdict(cp, f, radii=radii, points_per_circle=36)
 
     def test_no_runtime_warning(self, recwarn):
         f = PowerSeries((0, 1, complex("inf")))
         with pytest.raises(DomainError):
-            membership_test(make_cp(), f, radii=(0.5,), points_per_circle=12)
+            sampled_verdict(make_cp(), f, radii=(0.5,), points_per_circle=12)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from struveops import cli
+from struveops import DomainError, cli
 from struveops.cli import main, parse_complex
 
 
@@ -440,6 +440,38 @@ class TestMember:
         assert len(lines) == 13
         verdict = json.loads(out)
         assert verdict["samples_used"] == 12
+
+    @pytest.mark.parametrize("extra", [
+        ("--points", "1000000000"),
+        ("--points", str(cli.MAX_SAMPLES // 10 + 1)),
+        ("--radii", "0.5", "--points", str(cli.MAX_SAMPLES + 1)),
+        ("--radii", "0.2,0.4", "--points", str(cli.MAX_SAMPLES // 2 + 1)),
+    ])
+    def test_samples_above_the_maximum_are_rejected_before_evaluation(
+            self, capsys, tmp_path, monkeypatch, extra):
+        # 10^6 samples peak near 150 MB; 10^10 ended in a MemoryError, which
+        # exited 1 like a certified fail.
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before the sample count was checked")
+
+        monkeypatch.setattr(cli, "membership_samples", fail)
+        code, out, err = run_cli(capsys, "member", "--coeffs", identity_file(tmp_path), *extra)
+        assert code == 2
+        assert out == ""
+        assert f"exceed {cli.MAX_SAMPLES} samples" in err
+
+    @pytest.mark.parametrize("extra", [
+        ("--points", str(cli.MAX_SAMPLES // 10)),
+        ("--radii", "0.5", "--points", str(cli.MAX_SAMPLES)),
+    ])
+    def test_samples_up_to_the_maximum_are_evaluated(self, capsys, tmp_path, monkeypatch, extra):
+        def reached(cp, f, radii, points):
+            raise DomainError(f"sampling {len(radii) * points}")
+
+        monkeypatch.setattr(cli, "membership_samples", reached)
+        code, _, err = run_cli(capsys, "member", "--coeffs", identity_file(tmp_path), *extra)
+        assert code == 3
+        assert f"sampling {cli.MAX_SAMPLES}" in err
 
 
 class TestVerify:

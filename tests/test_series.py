@@ -31,7 +31,6 @@ class TestConstruction:
     def test_order_counts_coefficients(self):
         f = PowerSeries((0, 1, 2, 3))
         assert f.order == 3
-        assert len(f) == 4
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -49,8 +48,10 @@ class TestConstruction:
         assert f.is_normalized()
 
     def test_pairs_round_trip(self):
-        f = PowerSeries((complex(0, 0), complex(1, -2), complex(0.5, 3)))
-        assert PowerSeries.from_pairs(f.to_pairs()) == f
+        pairs = [[0.0, 0.0], [1.0, -2.0], [0.5, 3.0]]
+        f = PowerSeries.from_pairs(pairs)
+        assert f == PowerSeries((complex(0, 0), complex(1, -2), complex(0.5, 3)))
+        assert [[c.real, c.imag] for c in f.coeffs] == pairs
 
 
 class TestHadamard:
