@@ -29,7 +29,7 @@ import numpy as np
 from .classes import MobiusTarget, Verdict
 from .errors import ConvergenceError, DomainError, ParameterError
 from .hypergeom import HypergeomParams, f21
-from .quadrature import jacobi_rule_01
+from .quadrature import settle
 from .series import Result, gamma_n
 
 
@@ -52,59 +52,36 @@ class DominantParams:
         object.__setattr__(self, "beta", beta)
 
 
-def _settled_integral(beta: float, integrand: Callable, nodes: int,
+def _settled_integral(beta: float, integrand: Callable, size: int, nodes: int,
                       label: Callable[[int], str]):
-    """``beta * int_0^1 integrand(t) t^(beta-1) dt`` by Gauss-Jacobi quadrature.
+    """``beta * int_0^1 integrand(t, live) t^(beta-1) dt`` for ``size`` points,
+    each settled on the ladder of Gauss-Jacobi rules up to ``nodes`` by
+    :func:`quadrature.settle`, as its arrays ``(value, gap, nodes used)``.
 
-    ``integrand(t)`` returns an array whose last axis runs over the nodes
-    ``t``; any leading axes (the points z of q) give one integral each.  The
-    node axis is reduced with ``np.vecdot``, which sums each row exactly as
-    ``np.dot(w, row)`` does (``M @ w`` and ``einsum`` do not, in the last bit).
-    Evaluated with ``nodes`` and with ``nodes // 2`` nodes (so ``nodes`` must
-    be at least 2) and returned as ``(value, gap)``: the ``nodes``-node value
-    and the array ``|value - half|`` of the two rules' differences.  A gap
-    beyond 1e-8 of the value scale at any point is reported as quadrature
-    non-convergence of the integral ``label(i)``, for the first such point
-    ``i`` in flat order (formatted only then).
+    A point that reaches ``nodes`` with a gap beyond 1e-8 of its value scale
+    is reported as quadrature non-convergence of the integral ``label(i)``,
+    for the first such point ``i`` (formatted only then).
     """
-    if nodes < 2:
-        raise ParameterError(f"a settled quadrature compares nodes with nodes // 2, "
-                             f"so it needs nodes >= 2, got {nodes}")
-    half_nodes = nodes // 2
-    t, w = jacobi_rule_01(nodes, 0.0, beta - 1.0)
-    full = beta * np.vecdot(w, integrand(t))
-    t, w = jacobi_rule_01(half_nodes, 0.0, beta - 1.0)
-    half = beta * np.vecdot(w, integrand(t))
-    gap = abs(full - half)
+    value, gap, used = settle(integrand, size, nodes, 0.0, beta - 1.0, beta)
     if np.count_nonzero(gap > 1e-8):  # implied by a mismatch; keeps the passing path cheap
-        unsettled = np.flatnonzero(gap > 1e-8 * np.maximum(1.0, abs(full)))
+        unsettled = np.flatnonzero(gap > 1e-8 * np.maximum(1.0, abs(value)))
         if unsettled.size:
             i = unsettled[0]
             raise ConvergenceError(
-                f"quadrature for {label(i)} did not settle: {nodes} vs {half_nodes} "
-                f"nodes differ by {gap.flat[i]:g}"
+                f"quadrature for {label(i)} did not settle: {nodes} vs {nodes // 2} "
+                f"nodes differ by {gap[i]:g}"
             )
-    return full, gap
+    return value, gap, used
 
 
 #: Points per pass of :func:`best_dominant_q`, whose (64 x nodes) temporaries
-#: stay in cache; ``np.vecdot`` reduces row by row, so no bit depends on it.
+#: stay in cache; each point settles on its own, so no bit depends on it.
 _Q_BLOCK = 64
 
 
-def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 128
-                    ) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
-    """The dominant ``beta * int_0^1 phi(zu) u^(beta-1) du`` inside the disk.
-
-    Returns ``(q, gap)``, where ``gap`` is ``|q - q_half|``, the difference
-    from the ``nodes // 2``-node rule that the settle test compares with.
-    ``z`` is a scalar (a ``complex`` and a ``float``) or an array of points
-    (a complex and a float array of its shape), evaluated in (points x nodes)
-    blocks of ``_Q_BLOCK`` points; each value has the bits a scalar call
-    gives it.  A gap beyond 1e-8 of the value scale is reported as quadrature
-    non-convergence, and a point not strictly inside the disk (NaN included)
-    as DomainError, each naming the first offending z in input order.
-    """
+def _dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int):
+    """:func:`best_dominant_q` with the rung each point settled on:
+    ``(q, gap, nodes used)``, scalars for a scalar ``z``."""
     if dp.beta <= 0:
         raise ParameterError(f"best dominant needs beta > 0, got {dp.beta}")
     z = np.asarray(z, dtype=complex)
@@ -114,14 +91,33 @@ def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 12
         raise DomainError(f"best dominant defined on |z| < 1, got |z| = {abs(bad):g}")
 
     def integral(b: np.ndarray):
-        return _settled_integral(dp.beta, lambda t: dp.target.phi(b[..., None] * t), nodes,
-                                 lambda i: f"q({complex(b.flat[i])})")
-    if z.ndim == 0:
-        q, gap = integral(z)
-        return complex(q), float(gap)
+        return _settled_integral(dp.beta, lambda t, live: dp.target.phi(b[live, None] * t),
+                                 b.size, nodes, lambda i: f"q({complex(b[i])})")
     flat = z.ravel()  # blocks in input order, so the first unsettled block names the point
     parts = [integral(flat[s:s + _Q_BLOCK]) for s in range(0, flat.size or 1, _Q_BLOCK)]
-    return tuple(np.concatenate(p).reshape(z.shape) for p in zip(*parts))
+    q, gap, used = (np.concatenate(p).reshape(z.shape) for p in zip(*parts))
+    if z.ndim == 0:
+        return complex(q), float(gap), int(used)
+    return q, gap, used
+
+
+def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 128
+                    ) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
+    """The dominant ``beta * int_0^1 phi(zu) u^(beta-1) du`` inside the disk.
+
+    Returns ``(q, gap)``: each point settles on the ladder of Gauss-Jacobi
+    rules up to ``nodes`` (16, 32, 64, 128 by default), and ``gap`` is its
+    difference from the rung below the one it stopped at.  ``z`` is a scalar
+    (a ``complex`` and a ``float``) or an array of points (a complex and a
+    float array of its shape), evaluated in (points x nodes) blocks of
+    ``_Q_BLOCK`` points; each value has the bits a scalar call gives it.  A
+    point unsettled at ``nodes`` with a gap beyond 1e-8 of the value scale is
+    reported as quadrature non-convergence, and a point not strictly inside
+    the disk (NaN included) as DomainError, each naming the first offending z
+    in input order.
+    """
+    q, gap, _ = _dominant_q(dp, z, nodes)
+    return q, gap
 
 
 def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
@@ -149,12 +145,14 @@ def lower_bound_h_minus1(dp: DominantParams) -> float:
 
     The integrand is bounded for every valid target: 1 - Bt only vanishes on
     [0, 1] when B = 1, which B < A <= 1 excludes (B = -1 gives 1 + t).  The
-    value, the infimum of Re h over the disk, takes 192 Gauss-Jacobi nodes.
+    value, the infimum of Re h over the disk, settles on Gauss-Jacobi rules of
+    24, 48, 96 and at most 192 nodes.
     """
     if dp.beta <= 0:
         raise ParameterError(f"lower bound needs beta > 0, got {dp.beta}")
-    value, _ = _settled_integral(dp.beta, lambda t: dp.target.phi(-t), 192, lambda i: "h(-1)")
-    return float(value)
+    value, _, _ = _settled_integral(dp.beta, lambda t, live: dp.target.phi(-t), 1, 192,
+                                    lambda i: "h(-1)")
+    return float(value[0].real)
 
 
 def _radius_c(lam: float, mu: float, k: float) -> float:

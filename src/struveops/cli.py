@@ -32,7 +32,7 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
-from .bounds import DominantParams, best_dominant_q, sharp_bound_h
+from .bounds import DominantParams, _dominant_q, sharp_bound_h
 from .classes import (
     DEFAULT_RADII,
     ClassParams,
@@ -94,7 +94,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-MAX_NODES = 2048  #: Largest ``eval q --nodes``: a Gauss-Jacobi rule costs O(n^2) to build.
+#: Largest ``eval q --nodes``, the top rung of q's node ladder: a Gauss-Jacobi
+#: rule costs O(n^2) to build, and q builds each rung up to it that it needs.
+MAX_NODES = 2048
 MAX_SAMPLES = 1_000_000  #: Most ``member`` samples, ``--points`` x radii: 10^6 take ~150 MB.
 
 
@@ -138,8 +140,7 @@ EVAL_TARGETS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "struve-n": (("p", "b", "c", "z"), lambda a: normalized_n(_struve(a), a.z, a.tol)),
     "f21": (("a", "b", "c", "z"), lambda a: f21(HypergeomParams(a.a, a.b, a.c), a.z, a.tol)),
     "phi": (("p", "b", "c", "z"), lambda a: phi(_struve(a), a.z, a.tol)),
-    "q": (("A", "B", "beta", "z"), lambda a: (
-        *best_dominant_q(_dominant(a), a.z, a.nodes), a.nodes)),
+    "q": (("A", "B", "beta", "z"), lambda a: _dominant_q(_dominant(a), a.z, a.nodes)),
     "h-bound": (("A", "B", "beta", "z"), lambda a: sharp_bound_h(_dominant(a), a.z, a.tol)),
 }
 
@@ -269,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--A", type=finite_float)
     p_eval.add_argument("--B", type=finite_float)
     p_eval.add_argument("--beta", type=finite_float)
-    p_eval.add_argument("--nodes", type=node_count, default=128)
+    p_eval.add_argument("--nodes", type=node_count, default=128,
+                        help="most Gauss-Jacobi nodes for q; rules of nodes halved "
+                             "down to 16 are tried first, smallest first")
     p_eval.add_argument("--tol", type=positive_float, default=1e-13)
 
     p_member = sub.add_parser("member", help="test class membership of a series")

@@ -128,9 +128,9 @@ class StruveParams:
 
 def _growth(k: complex, n: int) -> complex:
     """``(n + 1/2)(k + n - 1)``: ``(3/2)_n (k)_n`` over its value at ``n - 1``.
-    Rounded as written, so it is 0 for ``k`` within rounding of a pole of
-    ``G(k)`` (``(k + 1) - 1`` is 0 at ``k = 1e-17``)."""
-    return (n + 0.5) * (k + n - 1.0)
+    The integer ``n - 1`` is formed first, so ``k`` is kept: it is 0 only at a
+    pole of ``G(k)``, never for ``k`` within rounding of one."""
+    return (n + 0.5) * (k + (n - 1))
 
 
 def _kernel_sum(k: complex, x: complex, tol: float) -> Result:

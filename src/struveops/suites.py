@@ -155,7 +155,7 @@ def run_hypergeom(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[di
     for i in range(trials):
         hp, z = _random_hypergeom_case(_rng(seed, 1, i))
         s = f21_series(hp, z)[0]
-        e = f21_euler(hp, z)
+        e = f21_euler(hp, z)[0]
         p = f21_pfaff(hp, z)[0]
         value = max(abs(s - e), abs(s - p))
         records.append(

@@ -149,21 +149,39 @@ class TestBestDominantQArrays:
             best_dominant_q(dp, zs, nodes=16)
 
     def test_blocks_give_the_one_pass_bits(self):
-        # The one-pass (points x nodes) integral q was before blocks, as reference.
-        from struveops.quadrature import jacobi_rule_01
+        # The one-pass (points x nodes) settle of every point at once, as reference.
+        from struveops.quadrature import settle
 
         rng = np.random.default_rng(64)
         for points in (1, 63, 64, 65, 128, 129, 1010):
             dp = dominant(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.95, -0.05)),
                           float(rng.uniform(0.25, 2.5)))
             zs = rng.uniform(0.0, 0.95, points) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, points))
-            t, w = jacobi_rule_01(128, 0.0, dp.beta - 1.0)
-            one_pass = dp.beta * np.vecdot(w, dp.target.phi(zs[:, None] * t))
-            t, w = jacobi_rule_01(64, 0.0, dp.beta - 1.0)
-            gap = abs(one_pass - dp.beta * np.vecdot(w, dp.target.phi(zs[:, None] * t)))
+            one_pass, gap, _ = settle(lambda t, live: dp.target.phi(zs[live, None] * t), points,
+                                      128, 0.0, dp.beta - 1.0, dp.beta)
             q, q_gap = best_dominant_q(dp, zs)
             assert q.tobytes() == one_pass.tobytes() and q_gap.tobytes() == gap.tobytes()
         assert best_dominant_q(dp, np.zeros(0, dtype=complex))[0].shape == (0,)
+
+    def test_points_at_the_cap_keep_the_two_rule_bits(self):
+        # A point that reaches --nodes gets the value of the fixed
+        # nodes-vs-nodes // 2 pair that q used before the ladder, and the gap
+        # a scalar call measured for it.
+        from struveops.bounds import _dominant_q
+        from struveops.quadrature import jacobi_rule_01
+
+        rng = np.random.default_rng(65)
+        dp = dominant(0.6, -1.0, 0.8)
+        zs = 1.0 - rng.uniform(0.05, 0.3, 200) * np.exp(1j * rng.uniform(-1.2, 1.2, 200))
+        q, gap, used = _dominant_q(dp, zs, 128)
+        capped = used == 128
+        assert 0 < np.count_nonzero(capped) < zs.size
+        t, w = jacobi_rule_01(128, 0.0, dp.beta - 1.0)
+        full = dp.beta * np.vecdot(w, dp.target.phi(zs[capped, None] * t))
+        t, w = jacobi_rule_01(64, 0.0, dp.beta - 1.0)
+        half = dp.beta * np.vecdot(w, dp.target.phi(zs[capped, None] * t))
+        assert q[capped].tobytes() == full.tobytes()
+        assert gap[capped].tolist() == [abs(d) for d in (full - half).tolist()]
 
     @pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(0.5, math.nan), complex(math.nan, 0.0)])
     def test_nan_point_is_domain_error(self, z):
@@ -175,6 +193,11 @@ class TestBestDominantQGap:
     """q comes with the full-vs-half gap its one integration measured."""
 
     def test_gap_is_the_difference_from_the_half_rule(self):
+        # The gap is to the rung below the one q stopped at, the first rung
+        # whose gap is within SETTLE_RTOL of the value scale, or the cap.
+        from struveops.bounds import _dominant_q
+        from struveops.quadrature import SETTLE_RTOL, _ladder
+
         rng = np.random.default_rng(808)
         for _ in range(60):
             B = float(rng.uniform(-1.0, 0.9))
@@ -183,9 +206,16 @@ class TestBestDominantQGap:
             nodes = int(rng.integers(64, 256))  # the n // 2 call settles too
             z = float(rng.uniform(0.0, 0.8)) * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
             q, gap = best_dominant_q(dp, z, nodes)
-            coarse, _ = best_dominant_q(dp, z, nodes // 2)
             assert type(gap) is float
+            rungs = _ladder(nodes)
+            _, _, used = _dominant_q(dp, z, nodes)
+            below = rungs[rungs.index(used) - 1]
+            coarse, _ = best_dominant_q(dp, z, below)
             assert repr(gap) == repr(abs(q - coarse))
+            assert used == nodes or gap <= SETTLE_RTOL * max(1.0, abs(q))
+            for n in rungs[1:rungs.index(used)]:
+                _, g, u = _dominant_q(dp, z, n)
+                assert u == n and g > SETTLE_RTOL * max(1.0, abs(q))
 
     def test_array_gap_has_the_shape_of_z(self):
         dp = dominant(0.7, -0.4, 1.3)

@@ -3,7 +3,6 @@ import pytest
 
 from struveops import (
     ParameterError,
-    PoleError,
     PowerSeries,
     StruveParams,
     apply_s,
@@ -81,9 +80,10 @@ class TestPhiValue:
 
 class TestApplyS:
     def test_k_within_rounding_of_a_pole(self):
-        # k = 1e-17: (k + 1) - 1 rounds to 0, which raised ZeroDivisionError.
-        with pytest.raises(PoleError):
-            apply_s(StruveParams(1e-17, -2.0, 1.0), PowerSeries((0, 1, 0.5)))
+        # k = 1e-17: (k + 1) - 1 rounded to 0 and raised PoleError; k + (1 - 1)
+        # keeps k, so the z^2 coefficient is 0.5 A_1 = -1/(12k).
+        out = apply_s(StruveParams(1e-17, -2.0, 1.0), PowerSeries((0, 1, 0.5)))
+        assert out.coeffs == (0, 1, -1.0 / 12e-17)
 
     def test_identity_input(self):
         sp = StruveParams(0.5, 1.0, 1.0)

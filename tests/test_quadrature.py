@@ -13,7 +13,7 @@ from struveops import (
     f21_euler,
     lower_bound_h_minus1,
 )
-from struveops.quadrature import RULE_CACHE_SIZE, jacobi_rule_01
+from struveops.quadrature import RULE_CACHE_SIZE, _ladder, jacobi_rule_01, settle
 
 
 @pytest.fixture
@@ -95,3 +95,25 @@ def test_large_exponent_reaches_callers_as_convergence_error(empty_cache):
         lower_bound_h_minus1(dp)
     t, w = jacobi_rule_01(128, 0.0, 999.0)  # still representable
     assert abs(w.sum() - 1e-3) < 1e-15
+
+
+@pytest.mark.parametrize("nodes,rungs", [
+    (128, [16, 32, 64, 128]), (192, [24, 48, 96, 192]), (255, [31, 63, 127, 255]),
+    (32, [16, 32]), (31, [15, 31]), (8, [4, 8]), (2, [1, 2]),
+])
+def test_ladder_halves_down_to_sixteen(nodes, rungs):
+    assert _ladder(nodes) == rungs
+
+
+def test_each_point_stops_at_its_own_rung():
+    # t^0, t^20 and t^60 against the weight 1: a rule of n nodes integrates
+    # degree 2n - 1, so they are exact from 16, 16 and 32 nodes and stop one
+    # rung later, where the gap first reads 0 to rounding.
+    powers = np.array([0, 20, 60])
+    value, gap, used = settle(lambda t, live: t ** powers[live, None], 3, 128, 0.0, 0.0)
+    assert used.tolist() == [32, 32, 64]
+    assert np.allclose(value, 1.0 / (powers + 1), rtol=1e-12, atol=0.0)
+    assert (gap <= 1e-13).all()
+    # A point the ladder never settles keeps the cap and its gap there.
+    value, gap, used = settle(lambda t, live: np.abs(t - 0.3), 1, 64, 0.0, 0.0)
+    assert used.tolist() == [64] and gap[0] > 1e-6

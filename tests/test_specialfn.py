@@ -219,12 +219,16 @@ class TestNormalizedSeries:
         assert abs(ns[1] - (-1.0 / 12.0)) <= 1e-15
 
     def test_k_within_rounding_of_a_pole(self):
-        # k = 1e-17: (k + 1) - 1 rounds to 0 at n = 1, which raised ZeroDivisionError.
+        # k = 1e-17: (k + 1) - 1 rounded to 0 at n = 1 and raised PoleError;
+        # k + (1 - 1) keeps k, so A_1 = -c/(6k) and N and M are finite.
         sp = StruveParams(1e-17, -2.0, 1.0)
-        for value in (lambda: normalized_n_series(sp, 8), lambda: normalized_n(sp, 0.5),
-                      lambda: generalized_m(sp, 0.5)):
-            with pytest.raises(PoleError):
-                value()
+        assert normalized_n_series(sp, 8)[1] == -1.0 / 6e-17
+        for compute, exact in (
+                (lambda: normalized_n(sp, 0.5), "-7924038639496912.763685598199870026"),
+                (lambda: generalized_m(sp, 0.5), "-0.01146271245320640991901836167271674")):
+            value, est, _ = compute()
+            assert abs(value - complex(mpmath.mpf(exact))) <= est
+        assert normalized_n(sp, 0.5)[0] == -7924038639496913.0
 
     def test_transformation_consistency(self):
         # N(z) = 2^p sqrt(pi) Gamma(k) z^(-(p+1)/2) M(sqrt z), principal
