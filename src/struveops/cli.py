@@ -84,14 +84,19 @@ def positive_float(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
+def positive_int(text: str, least: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def seed_int(text: str) -> int:
+    """The type of ``--seed``: numpy's seeded generators take no negative seed."""
+    return positive_int(text, 0)
 
 
 #: Largest ``eval q --nodes``, the top rung of q's node ladder: a Gauss-Jacobi
@@ -293,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=seed_int, default=0)
     p_verify.add_argument("--trials", type=positive_int, default=None)
     p_verify.add_argument("--tol", type=positive_float, default=None)
 

@@ -6,7 +6,8 @@ shorter order; nothing is ever zero-extended, so any coefficient you read back
 was actually computed.  All values are immutable and all operations are pure.
 
 ``ratio_sum`` is the one loop that sums an infinite series from its first term
-and term ratio, with a bound on its own error; ``scaled`` applies a factor.
+and term ratio, with a bound on its own error, and sums the tail of a long one
+in numpy blocks with the loop's bits; ``scaled`` applies a factor.
 """
 
 from __future__ import annotations
@@ -15,12 +16,23 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, ParameterError, PoleError
 
 #: Most terms ``ratio_sum`` adds before it gives up.
 MAX_TERMS = 100_000
+#: Terms ``ratio_sum`` adds one at a time before it sums in numpy blocks.
+SCALAR_TERMS = 64
+#: Most terms in one block, which keeps its arrays within a few hundred kB.
+BLOCK_TERMS = 4096
 #: ``(value, est_error, terms)``: what every series evaluator returns.
 Result = tuple[complex, float, int]
+#: Term ratios over a float array of indices: real parts, imaginary parts and
+#: the mask of zero denominators.
+Ratios = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: Where a sum stops: the index n, ``ratio(n)`` and ``|t_(n+1)|``.
+Stop = tuple[int, complex, float]
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ def gamma_n(n: int) -> float:
 
 
 def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: float,
-              start: int = 0) -> Result:
+              start: int = 0, ratios: Ratios | None = None) -> Result:
     """Sum ``t_0 = first``, ``t_(n+1) = t_n * ratio(n)`` up to the first ``t_N``
     with ``|t_N| / (1 - rho) < tol``, ``N > start`` and ``|ratio(N - 1)| < 1``;
     ``rho < 1`` is the limit of ``|ratio(n)|``, and ``start`` an index past
@@ -91,33 +103,103 @@ def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: 
     A zero denominator in ``ratio`` raises PoleError and a non-finite term
     DomainError; ConvergenceError means MAX_TERMS terms did not reach ``tol``,
     or a nonzero bound not below ``|sum|``: no digit of the sum is right.
+
+    ``ratios``, if given, is ``ratio`` over a float array of indices in the
+    same floating-point operations.  The terms past the first SCALAR_TERMS are
+    then summed in numpy blocks, with the bits, the term count and the
+    exceptions of the loop that adds one term at a time.
     """
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     gap = 1.0 - rho
-    term = total = complex(first)
-    size = abs(term)
-    try:
-        for n in range(MAX_TERMS):
-            r = ratio(n)
-            term *= r
-            total += term
-            mag = abs(term)
-            size += mag
-            if mag / gap < tol and n >= start and abs(r) < 1.0:
-                break
-            if not size < math.inf:  # an infinite or NaN term never stops the loop
-                raise DomainError(f"series term {n + 1} is not finite: {term}")
-        else:
-            raise ConvergenceError(f"series did not reach tol={tol:g} within {MAX_TERMS} terms")
-    except ZeroDivisionError:
-        raise PoleError(f"zero denominator in the ratio of term {n + 1} to term {n}") from None
+    term = complex(first)
+    state = [term, term, abs(term)]  # the last term, the sum and sum |t_n| so far
+    n = SCALAR_TERMS if ratios is not None and gap else MAX_TERMS
+    stop = _one_by_one(ratio, 0, n, state, gap, tol, start)
+    block = 0
+    while stop is None and n < MAX_TERMS:
+        block = 2 * block if block else _first_block(abs(state[0]), rho, gap, tol)
+        m = min(block, BLOCK_TERMS, MAX_TERMS - n)
+        # A numpy block costs about as much as 100 terms of the loop, so a
+        # short one runs in the loop; a block that meets a pole or a value
+        # that is not finite is summed again by the loop, so that it raises.
+        stop = _in_block(ratios, n, m, state, gap, tol, start) if m > 2 * SCALAR_TERMS else False
+        if stop is False:
+            stop = _one_by_one(ratio, n, n + m, state, gap, tol, start)
+        n += m
+    if stop is None:
+        raise ConvergenceError(f"series did not reach tol={tol:g} within {MAX_TERMS} terms")
+    n, r, mag = stop
+    _, total, size = state
     last = max(abs(r), rho)
     est = gamma_n(8 * (n + 1)) * size + mag * last / (1.0 - last)
     if est and not est < abs(total):
         raise ConvergenceError(f"no correct digit: error bound {est:g} >= |sum| "
                                f"{abs(total):g} after {n + 2} terms")
     return total, est, n + 2
+
+
+def _one_by_one(ratio: Callable[[int], complex], n0: int, n1: int, state: list,
+                gap: float, tol: float, start: int) -> Stop | None:
+    """``ratio_sum``'s loop over ``n0 <= n < n1``: updates ``state`` and
+    returns where the sum stops, or None."""
+    term, total, size = state
+    try:
+        for n in range(n0, n1):
+            r = ratio(n)
+            term *= r
+            total += term
+            mag = abs(term)
+            size += mag
+            if mag / gap < tol and n >= start and abs(r) < 1.0:
+                state[:] = term, total, size
+                return n, r, mag
+            if not size < math.inf:  # an infinite or NaN term never stops the loop
+                raise DomainError(f"series term {n + 1} is not finite: {term}")
+    except ZeroDivisionError:
+        raise PoleError(f"zero denominator in the ratio of term {n + 1} to term {n}") from None
+    state[:] = term, total, size
+    return None
+
+
+def _first_block(mag: float, rho: float, gap: float, tol: float) -> int:
+    """Terms until ``rho^n mag / (1 - rho) < tol``, plus a quarter and 16 more."""
+    try:
+        guess = max(0, math.ceil(math.log(tol * gap / mag) / math.log(rho)))
+    except (ArithmeticError, ValueError):  # a zero term or rho, or no finite guess
+        guess = 0
+    return guess + guess // 4 + 16
+
+
+def _in_block(ratios: Ratios, n0: int, m: int, state: list, gap: float, tol: float,
+              start: int) -> Stop | None | bool:
+    """``_one_by_one(ratio, n0, n0 + m, ...)`` bit for bit, in numpy.
+
+    Complex ``multiply.accumulate`` and ``add.accumulate`` round as Python's
+    ``*=`` and ``+=`` do, term after term, and ``hypot`` as ``abs``.  Returns
+    False, with ``state`` untouched, when before the stop a denominator is
+    zero or a ratio or ``sum |t_n|`` is not finite.
+    """
+    n = np.arange(n0, n0 + m, dtype=float)
+    with np.errstate(all="ignore"):
+        rr, ri, pole = ratios(n)
+        terms = np.empty(m + 1, complex)
+        terms[0] = state[0]
+        terms.real[1:], terms.imag[1:] = rr, ri
+        np.multiply.accumulate(terms, out=terms)
+        mag = np.hypot(terms.real, terms.imag)
+        mag[0] = state[2]
+        size = np.add.accumulate(mag)  # mag[1:] stays |t_n|
+        rmag = np.hypot(rr, ri)
+        stops = (mag[1:] / gap < tol) & (n >= start) & (rmag < 1.0)
+        hits = np.flatnonzero(stops)
+        i = int(hits[0]) if hits.size else m - 1
+        if not (size[i + 1] < math.inf and rmag[:i + 1].max() < math.inf) or pole[:i + 1].any():
+            return False
+        terms[0] = state[1]
+        total = np.add.accumulate(terms[:i + 2])[-1]
+    state[:] = complex(terms[i + 1]), complex(total), float(size[i + 1])
+    return (n0 + i, complex(rr[i], ri[i]), float(mag[i + 1])) if hits.size else None
 
 
 def scaled(factor: complex, rtol: float, result: Result) -> Result:

@@ -389,6 +389,15 @@ class TestRejectedInput:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("seed", ["-1", "-20"])
+    def test_negative_seed_is_usage_error(self, capsys, seed):
+        # numpy's default_rng raised ValueError out of the CLI, which exited 1.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--suite", "radius", "--seed", seed])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed: must be at least 0" in err
+
 
 class TestMember:
     def test_identity_passes(self, capsys, tmp_path):

@@ -8,11 +8,13 @@ from struveops import (
     ConvergenceError,
     DomainError,
     HypergeomParams,
+    NumericsError,
     ParameterError,
     f21,
     f21_euler,
     f21_pfaff,
     f21_series,
+    series,
 )
 
 
@@ -192,3 +194,42 @@ def test_three_way_agreement_sample():
         s = f21_series(hp, z)[0]
         assert abs(s - f21_euler(hp, z)[0]) <= 1e-9
         assert abs(s - f21_pfaff(hp, z)[0]) <= 1e-9
+
+
+def _block_case(rng):
+    """Complex a, b, c with |a|, |b| up to 100, c down to -30 and |Im c| up to
+    1,000 (past n = |Im c| - Re c the ratio's denominator has |Im| > |Re|);
+    1 - |z| down to 10^-3.5."""
+    def draw(low, high, im):
+        return complex(rng.uniform(low, high), rng.uniform(-im, im) if rng.uniform() < 0.7 else 0.0)
+    scale = 10.0 ** rng.uniform(0.0, 2.0)
+    hp = HypergeomParams(scale * draw(-1.0, 1.0, 3.0), scale * draw(-1.0, 1.0, 3.0),
+                         draw(-30.0, 10.0, 10.0 ** rng.uniform(0.5, 3.0)))
+    z = (1.0 - 10.0 ** (-3.5 * rng.uniform() ** 2)) * cmath.exp(2j * math.pi * rng.uniform())
+    return hp, z, 10.0 ** -rng.uniform(6.0, 13.0)
+
+
+def _outcome(hp, z, tol):
+    try:
+        return f21_series(hp, z, tol)
+    except (NumericsError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_blocks_match_the_loop(monkeypatch):
+    # ratio_sum sums f21_series's terms past SCALAR_TERMS in numpy blocks; with
+    # SCALAR_TERMS at MAX_TERMS it adds them one at a time.  A cap of 5,000
+    # terms keeps the loop short, and is reached inside a block.
+    monkeypatch.setattr(series, "MAX_TERMS", 5000)
+    rng = np.random.default_rng(14)
+    cases = [_block_case(rng) for _ in range(1000)]
+    blocks = [_outcome(*case) for case in cases]
+    long_sums = sum(not isinstance(o[0], str) and o[2] > series.SCALAR_TERMS for o in blocks)
+    monkeypatch.setattr(series, "SCALAR_TERMS", series.MAX_TERMS)
+    for case, block in zip(cases, blocks):
+        assert repr(block) == repr(_outcome(*case)), case  # repr tells -0.0 from 0.0
+    errors = [o for o in blocks if isinstance(o[0], str)]
+    assert long_sums >= 200
+    assert sum(kind == "DomainError" for kind, _ in errors) >= 3
+    assert sum("no correct digit" in message for _, message in errors) >= 50
+    assert sum("within 5000 terms" in message for _, message in errors) >= 50

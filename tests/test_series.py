@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from struveops import (
     ConvergenceError,
     DomainError,
+    NumericsError,
     ParameterError,
     PoleError,
     PowerSeries,
@@ -159,3 +161,44 @@ class TestRatioSum:
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ParameterError, match="tol must be > 0"):
             ratio_sum(1.0, lambda n: 0.5, 0.5, tol)
+
+
+def _constant(r):
+    """A constant term ratio, one at a time and over an array of indices."""
+    return lambda n: r, lambda n: (np.full_like(n, r), np.zeros_like(n), np.zeros(n.shape, bool))
+
+
+#: ``(first, ratio, ratios, rho, start)`` of sums that reach the numpy blocks;
+#: the events at n = 1000 fall inside one.
+BLOCK_CASES = {
+    "long sum": (1.0, *_constant(0.999), 0.999, 0),
+    "cap": (1.0, *_constant(1.0 - 1e-12), 1.0 - 1e-12, 0),
+    # The mask, not the value, marks the pole.
+    "pole": (1.0, lambda n: 0.5 / (1000.0 - n),
+             lambda n: (np.divide(0.5, 1000.0 - n, out=np.zeros_like(n), where=n != 1000.0),
+                        np.zeros_like(n), n == 1000.0), 0.5, 2000),
+    "overflow": (1.0, *_constant(2.0), 0.5, 0),
+    # Both parts of the term 1.5e308 (1 + i) are finite, but not its modulus.
+    "modulus overflow": (complex(1.5e8, 1.5e8), lambda n: 1.0 if n < 1000 else 1e100,
+                         lambda n: (np.where(n < 1000, 1.0, 1e100), np.zeros_like(n),
+                                    np.zeros(n.shape, bool)), 0.5, 0),
+    # The term is 0 from n = 2 on; abs() of the ratio at n = 1000 overflows.
+    "ratio overflow": (1.0, lambda n: 1e-200 if n < 1000 else complex(1.5e308, 1.5e308),
+                       lambda n: (np.where(n < 1000, 1e-200, 1.5e308),
+                                  np.where(n < 1000, 0.0, 1.5e308), np.zeros(n.shape, bool)),
+                       0.5, 1000),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocks_match_the_loop(case):
+    # Past SCALAR_TERMS, with ``ratios`` the terms are summed in numpy blocks:
+    # the same bits, term count and exception as one term at a time.
+    first, ratio, ratios, rho, start = BLOCK_CASES[case]
+
+    def outcome(*blocks):
+        try:
+            return repr(ratio_sum(first, ratio, rho, 1e-13, start, *blocks))
+        except (NumericsError, ArithmeticError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+    assert outcome(ratios) == outcome()
