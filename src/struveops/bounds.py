@@ -63,25 +63,28 @@ def _settled_integral(beta: float, integrand: Callable, size: int, nodes: int,
     for the first such point ``i`` (formatted only then).
     """
     value, gap, used = settle(integrand, size, nodes, 0.0, beta - 1.0, beta)
-    if np.count_nonzero(gap > 1e-8):  # implied by a mismatch; keeps the passing path cheap
-        unsettled = np.flatnonzero(gap > 1e-8 * np.maximum(1.0, abs(value)))
-        if unsettled.size:
-            i = unsettled[0]
-            raise ConvergenceError(
-                f"quadrature for {label(i)} did not settle: {nodes} vs {nodes // 2} "
-                f"nodes differ by {gap[i]:g}"
-            )
+    unsettled = np.flatnonzero(gap > 1e-8 * np.maximum(1.0, abs(value)))
+    if unsettled.size:
+        i = unsettled[0]
+        raise ConvergenceError(f"quadrature for {label(i)} did not settle: {nodes} vs "
+                               f"{nodes // 2} nodes differ by {gap[i]:g}")
     return value, gap, used
 
 
-#: Points per pass of :func:`best_dominant_q`, whose (64 x nodes) temporaries
-#: stay in cache; each point settles on its own, so no bit depends on it.
-_Q_BLOCK = 64
+def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 128
+                    ) -> Result | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dominant ``beta * int_0^1 phi(zu) u^(beta-1) du`` inside the disk.
 
-
-def _dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int):
-    """:func:`best_dominant_q` with the rung each point settled on:
-    ``(q, gap, nodes used)``, scalars for a scalar ``z``."""
+    Returns ``(q, gap, nodes used)``: each point settles on the ladder of
+    Gauss-Jacobi rules up to ``nodes`` (16, 32, 64, 128 by default), and
+    ``gap`` is its difference from the rung below the one it stopped at.
+    ``z`` is a scalar (a ``complex``, a ``float`` and an ``int``) or an array
+    of points (arrays of its shape), all integrated in one (points x nodes)
+    pass; each value has the bits a scalar call gives it.  A point unsettled
+    at ``nodes`` with a gap beyond 1e-8 of the value scale is a
+    ConvergenceError, and a point not strictly inside the disk (NaN included)
+    a DomainError, each naming the first offending z in input order.
+    """
     if dp.beta <= 0:
         raise ParameterError(f"best dominant needs beta > 0, got {dp.beta}")
     z = np.asarray(z, dtype=complex)
@@ -89,35 +92,12 @@ def _dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int):
     if np.count_nonzero(outside):
         bad = complex(z.flat[np.flatnonzero(outside)[0]])
         raise DomainError(f"best dominant defined on |z| < 1, got |z| = {abs(bad):g}")
-
-    def integral(b: np.ndarray):
-        return _settled_integral(dp.beta, lambda t, live: dp.target.phi(b[live, None] * t),
-                                 b.size, nodes, lambda i: f"q({complex(b[i])})")
-    flat = z.ravel()  # blocks in input order, so the first unsettled block names the point
-    parts = [integral(flat[s:s + _Q_BLOCK]) for s in range(0, flat.size or 1, _Q_BLOCK)]
-    q, gap, used = (np.concatenate(p).reshape(z.shape) for p in zip(*parts))
+    flat = z.ravel()
+    q, gap, used = _settled_integral(dp.beta, lambda t, live: dp.target.phi(flat[live, None] * t),
+                                     flat.size, nodes, lambda i: f"q({complex(flat[i])})")
     if z.ndim == 0:
-        return complex(q), float(gap), int(used)
-    return q, gap, used
-
-
-def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 128
-                    ) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
-    """The dominant ``beta * int_0^1 phi(zu) u^(beta-1) du`` inside the disk.
-
-    Returns ``(q, gap)``: each point settles on the ladder of Gauss-Jacobi
-    rules up to ``nodes`` (16, 32, 64, 128 by default), and ``gap`` is its
-    difference from the rung below the one it stopped at.  ``z`` is a scalar
-    (a ``complex`` and a ``float``) or an array of points (a complex and a
-    float array of its shape), evaluated in (points x nodes) blocks of
-    ``_Q_BLOCK`` points; each value has the bits a scalar call gives it.  A
-    point unsettled at ``nodes`` with a gap beyond 1e-8 of the value scale is
-    reported as quadrature non-convergence, and a point not strictly inside
-    the disk (NaN included) as DomainError, each naming the first offending z
-    in input order.
-    """
-    q, gap, _ = _dominant_q(dp, z, nodes)
-    return q, gap
+        return complex(q[0]), float(gap[0]), int(used[0])
+    return q.reshape(z.shape), gap.reshape(z.shape), used.reshape(z.shape)
 
 
 def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:

@@ -32,7 +32,7 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
-from .bounds import DominantParams, _dominant_q, sharp_bound_h
+from .bounds import DominantParams, best_dominant_q, sharp_bound_h
 from .classes import (
     DEFAULT_RADII,
     ClassParams,
@@ -145,7 +145,7 @@ EVAL_TARGETS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "struve-n": (("p", "b", "c", "z"), lambda a: normalized_n(_struve(a), a.z, a.tol)),
     "f21": (("a", "b", "c", "z"), lambda a: f21(HypergeomParams(a.a, a.b, a.c), a.z, a.tol)),
     "phi": (("p", "b", "c", "z"), lambda a: phi(_struve(a), a.z, a.tol)),
-    "q": (("A", "B", "beta", "z"), lambda a: _dominant_q(_dominant(a), a.z, a.nodes)),
+    "q": (("A", "B", "beta", "z"), lambda a: best_dominant_q(_dominant(a), a.z, a.nodes)),
     "h-bound": (("A", "B", "beta", "z"), lambda a: sharp_bound_h(_dominant(a), a.z, a.tol)),
 }
 

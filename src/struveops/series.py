@@ -100,9 +100,10 @@ def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: 
     ``gamma_(8N) sum |t_n|`` (Higham, *Accuracy and Stability of Numerical
     Algorithms*, §4.2) plus the tail bound ``|t_N| r / (1 - r)``, ``r`` the
     larger of ``rho`` and ``|ratio(N - 1)|`` (Johansson, ACM TOMS 45(3), 2019).
-    A zero denominator in ``ratio`` raises PoleError and a non-finite term
-    DomainError; ConvergenceError means MAX_TERMS terms did not reach ``tol``,
-    or a nonzero bound not below ``|sum|``: no digit of the sum is right.
+    A zero denominator in ``ratio`` raises PoleError; a non-finite term, or a
+    modulus or ``sum |t_n|`` beyond double precision, DomainError;
+    ConvergenceError means MAX_TERMS terms did not reach ``tol``, or a
+    nonzero bound not below ``|sum|``: no digit of the sum is right.
 
     ``ratios``, if given, is ``ratio`` over a float array of indices in the
     same floating-point operations.  The terms past the first SCALAR_TERMS are
@@ -155,9 +156,14 @@ def _one_by_one(ratio: Callable[[int], complex], n0: int, n1: int, state: list,
                 state[:] = term, total, size
                 return n, r, mag
             if not size < math.inf:  # an infinite or NaN term never stops the loop
+                if mag < math.inf:
+                    raise DomainError(f"sum |t_n| overflows double precision at term {n + 1}")
                 raise DomainError(f"series term {n + 1} is not finite: {term}")
     except ZeroDivisionError:
         raise PoleError(f"zero denominator in the ratio of term {n + 1} to term {n}") from None
+    except OverflowError:  # abs() of a term or a ratio whose parts are finite
+        raise DomainError(f"the modulus of series term {n + 1} or of its ratio overflows "
+                          f"double precision: term {term}, ratio {r}") from None
     state[:] = term, total, size
     return None
 

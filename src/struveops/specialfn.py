@@ -186,17 +186,13 @@ def normalized_n_series(params: StruveParams, order: int = 64) -> PowerSeries:
     This is the entire normalization of the generalized family:
     evaluated at z it equals
     ``2^p sqrt(pi) G(k) z^(-(p+1)/2) M(sqrt z)`` (principal branches).
-    A zero ``(n + 1/2)(k + n - 1)`` raises PoleError, as the kernel sum does.
     """
     if order < 1:
         raise ParameterError("order must be >= 1")
     coeffs = [1 + 0j]
     a = 1 + 0j
     for n in range(1, order + 1):
-        growth = _growth(params.k, n)
-        if growth == 0:
-            raise PoleError(f"gamma pole encountered at series index n = {n}")
-        a *= (-params.c / 4.0) / growth
+        a *= (-params.c / 4.0) / _growth(params.k, n)
         coeffs.append(a)
     return PowerSeries(tuple(coeffs))
 

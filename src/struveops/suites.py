@@ -342,11 +342,8 @@ def run_modulus_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-5) -> li
 
 def _inclusion_samples(rng: np.random.Generator, target: MobiusTarget) -> list[list[complex]]:
     """16 (f, g) pairs in the target's image from one (16, 2, 2) draw, whose
-    last axis holds each point's two uniforms (the order of scalar draws)."""
-    if target.is_half_plane:
-        edge = target.half_plane_edge
-        draws = rng.uniform((0.01, -3.0), (3.0, 3.0), size=(16, 2, 2)).tolist()
-        return [[complex(edge + u, v) for u, v in pair] for pair in draws]
+    last axis holds each point's two uniforms (the order of scalar draws).
+    ``run_inclusion`` draws B >= -0.95, so the target is always a disk."""
     center, radius = target.center, target.radius
     draws = rng.uniform((0.0, 0.0), (0.98, 2.0 * math.pi), size=(16, 2, 2)).tolist()
     return [[center + radius * math.sqrt(u) * cmath.exp(1j * v) for u, v in p] for p in draws]

@@ -43,12 +43,12 @@ def trapezoid_q(A, B, beta, z, panels=1_000_000):
 
 class TestBestDominantQ:
     def test_at_zero(self):
-        q, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.0)
+        q, _, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.0)
         assert abs(q - 1.0) <= 1e-13
 
     def test_b_zero_closed_form(self):
         for beta, A, z in ((1.0, 1.0, 0.5), (2.5, 0.7, -0.3), (0.4, 0.2, 0.25j)):
-            value, _ = best_dominant_q(dominant(A, 0.0, beta), z)
+            value, _, _ = best_dominant_q(dominant(A, 0.0, beta), z)
             assert abs(value - (1.0 + beta / (beta + 1.0) * A * z)) <= 1e-12
 
     def test_unsettled_quadrature_is_convergence_error(self):
@@ -57,7 +57,7 @@ class TestBestDominantQ:
             best_dominant_q(dominant(0.5, -1.0, 0.5), 0.9999, nodes=16)
 
     def test_half_plane_against_trapezoid_oracle(self):
-        value, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
+        value, _, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
         oracle = trapezoid_q(1.0, -1.0, 1.0, 0.5)
         assert abs(value - oracle) <= 1e-9
         # same case has the elementary antiderivative -1 + 4 ln 2
@@ -82,8 +82,8 @@ class TestBestDominantQArrays:
 
     @pytest.mark.parametrize("nodes", [8, 17, 128, 255])
     def test_array_matches_scalar_calls_bit_for_bit(self, nodes):
-        # q integrates blocks of 64 points: 40 fit in one, 150 and 1,010
-        # (the dominant suite's points per trial) cross block boundaries.
+        # q integrates all points in one pass, each settling on its own
+        # rung: 40, 150 and 1,010 points (the dominant suite's per trial).
         rng = np.random.default_rng(20 + nodes)
         for i, B in enumerate((-1.0, 0.0, float(rng.uniform(-0.95, 0.9)),
                                float(rng.uniform(-0.95, 0.9)))):
@@ -101,7 +101,7 @@ class TestBestDominantQArrays:
                         best_dominant_q(dp, np.array(zs), nodes)
                     assert str(excinfo.value) == str(failures[0])
                     continue
-                values, _ = best_dominant_q(dp, np.array(zs), nodes)
+                values, _, _ = best_dominant_q(dp, np.array(zs), nodes)
                 assert values.shape == (points,) and values.dtype == np.complex128
                 assert [repr(v) for v in values.tolist()] == outcomes
 
@@ -110,7 +110,7 @@ class TestBestDominantQArrays:
         assert type(best_dominant_q(dp, 0.5)[0]) is complex
         assert type(best_dominant_q(dp, np.complex128(0.5j))[0]) is complex
         grid = np.array([[0.1, 0.2j], [-0.3, 0.4 + 0.1j]])
-        values, _ = best_dominant_q(dp, grid)
+        values, _, _ = best_dominant_q(dp, grid)
         assert values.shape == (2, 2)
         assert [repr(v) for v in values.ravel().tolist()] == [
             repr(best_dominant_q(dp, z)[0]) for z in grid.ravel().tolist()]
@@ -131,9 +131,9 @@ class TestBestDominantQArrays:
                            match=r"q\(\(0\.99\+0j\)\) did not settle: 16 vs 8 nodes differ by 0\.139199"):
             best_dominant_q(dp, np.array([0.1, -0.9999, 0.99, 0.99999]), nodes=16)
 
-    def test_convergence_error_names_first_unsettled_point_of_a_later_block(self):
-        # Blocks 0 and 1 (points 0-127) settle; block 2 holds 0.99 at 130,
-        # and block 3 the larger gap of 0.99999 at 200.
+    def test_convergence_error_names_first_unsettled_point_of_a_long_array(self):
+        # 0.99 at 130 comes after 128 settled points, and before the larger
+        # gap of 0.99999 at 200.
         dp = dominant(0.5, -1.0, 0.5)
         zs = np.full(250, 0.1 + 0.2j)
         zs[[5, 130, 200]] = -0.9999, 0.99, 0.99999
@@ -143,13 +143,13 @@ class TestBestDominantQArrays:
         zs[130] = 0.5
         with pytest.raises(ConvergenceError, match=r"q\(\(0\.99999\+0j\)\) did not settle"):
             best_dominant_q(dp, zs, nodes=16)
-        # The disk check covers the whole array before any block is integrated.
+        # The disk check covers the whole array before any point is integrated.
         zs[240] = 1.5
         with pytest.raises(DomainError, match=r"\|z\| = 1\.5$"):
             best_dominant_q(dp, zs, nodes=16)
 
-    def test_blocks_give_the_one_pass_bits(self):
-        # The one-pass (points x nodes) settle of every point at once, as reference.
+    def test_array_has_the_bits_of_one_settle_pass(self):
+        # The (points x nodes) settle of every point at once, as reference.
         from struveops.quadrature import settle
 
         rng = np.random.default_rng(64)
@@ -157,23 +157,23 @@ class TestBestDominantQArrays:
             dp = dominant(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.95, -0.05)),
                           float(rng.uniform(0.25, 2.5)))
             zs = rng.uniform(0.0, 0.95, points) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, points))
-            one_pass, gap, _ = settle(lambda t, live: dp.target.phi(zs[live, None] * t), points,
-                                      128, 0.0, dp.beta - 1.0, dp.beta)
-            q, q_gap = best_dominant_q(dp, zs)
+            one_pass, gap, used = settle(lambda t, live: dp.target.phi(zs[live, None] * t),
+                                         points, 128, 0.0, dp.beta - 1.0, dp.beta)
+            q, q_gap, q_used = best_dominant_q(dp, zs)
             assert q.tobytes() == one_pass.tobytes() and q_gap.tobytes() == gap.tobytes()
+            assert q_used.tolist() == used.tolist()
         assert best_dominant_q(dp, np.zeros(0, dtype=complex))[0].shape == (0,)
 
     def test_points_at_the_cap_keep_the_two_rule_bits(self):
         # A point that reaches --nodes gets the value of the fixed
         # nodes-vs-nodes // 2 pair that q used before the ladder, and the gap
         # a scalar call measured for it.
-        from struveops.bounds import _dominant_q
         from struveops.quadrature import jacobi_rule_01
 
         rng = np.random.default_rng(65)
         dp = dominant(0.6, -1.0, 0.8)
         zs = 1.0 - rng.uniform(0.05, 0.3, 200) * np.exp(1j * rng.uniform(-1.2, 1.2, 200))
-        q, gap, used = _dominant_q(dp, zs, 128)
+        q, gap, used = best_dominant_q(dp, zs, 128)
         capped = used == 128
         assert 0 < np.count_nonzero(capped) < zs.size
         t, w = jacobi_rule_01(128, 0.0, dp.beta - 1.0)
@@ -195,7 +195,6 @@ class TestBestDominantQGap:
     def test_gap_is_the_difference_from_the_half_rule(self):
         # The gap is to the rung below the one q stopped at, the first rung
         # whose gap is within SETTLE_RTOL of the value scale, or the cap.
-        from struveops.bounds import _dominant_q
         from struveops.quadrature import SETTLE_RTOL, _ladder
 
         rng = np.random.default_rng(808)
@@ -205,23 +204,22 @@ class TestBestDominantQGap:
             dp = dominant(A, B, float(np.exp(rng.uniform(np.log(0.1), np.log(20.0)))))
             nodes = int(rng.integers(64, 256))  # the n // 2 call settles too
             z = float(rng.uniform(0.0, 0.8)) * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
-            q, gap = best_dominant_q(dp, z, nodes)
-            assert type(gap) is float
+            q, gap, used = best_dominant_q(dp, z, nodes)
+            assert type(gap) is float and type(used) is int
             rungs = _ladder(nodes)
-            _, _, used = _dominant_q(dp, z, nodes)
             below = rungs[rungs.index(used) - 1]
-            coarse, _ = best_dominant_q(dp, z, below)
+            coarse, _, _ = best_dominant_q(dp, z, below)
             assert repr(gap) == repr(abs(q - coarse))
             assert used == nodes or gap <= SETTLE_RTOL * max(1.0, abs(q))
             for n in rungs[1:rungs.index(used)]:
-                _, g, u = _dominant_q(dp, z, n)
+                _, g, u = best_dominant_q(dp, z, n)
                 assert u == n and g > SETTLE_RTOL * max(1.0, abs(q))
 
     def test_array_gap_has_the_shape_of_z(self):
         dp = dominant(0.7, -0.4, 1.3)
         grid = np.array([[0.1, 0.2j], [-0.3, 0.4 + 0.1j]])
-        q, gap = best_dominant_q(dp, grid)
-        assert q.shape == gap.shape == (2, 2) and gap.dtype == np.float64
+        q, gap, used = best_dominant_q(dp, grid)
+        assert q.shape == gap.shape == used.shape == (2, 2) and gap.dtype == np.float64
         assert gap.ravel().tolist() == [best_dominant_q(dp, z)[1] for z in grid.ravel().tolist()]
 
     @pytest.mark.parametrize("nodes", [1, 0, -2])
@@ -240,7 +238,7 @@ class TestSharpBoundH:
 
     def test_matches_quadrature_representation(self):
         value = sharp_bound_h(dominant(1.0, -1.0, 1.0), 0.5)[0]
-        other, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
+        other, _, _ = best_dominant_q(dominant(1.0, -1.0, 1.0), 0.5)
         assert abs(value - other) <= 1e-9
 
     def test_agreement_on_seeded_points(self):

@@ -176,13 +176,13 @@ class TestEvalQOneQuadrature:
 
         def counted_q(*args, **kwargs):
             q_calls.append(args)
-            return bounds._dominant_q(*args, **kwargs)
+            return bounds.best_dominant_q(*args, **kwargs)
 
         def counted_rule(n, alpha, beta):
             rules.append(n)
             return jacobi_rule_01(n, alpha, beta)
 
-        monkeypatch.setattr(cli, "_dominant_q", counted_q)
+        monkeypatch.setattr(cli, "best_dominant_q", counted_q)
         monkeypatch.setattr(quadrature, "jacobi_rule_01", counted_rule)
         code, out, _ = run_cli(capsys, "eval", "q", "--A", "1", "--B", "0", "--beta", "1", "--z", "0.5")
         assert code == 0
@@ -237,6 +237,11 @@ class TestEvalGolden:
         (("struve-h", "--p", "170", "--z", "1"), "domain"),  # OverflowError traceback
         (("q", "--A", "1", "--B", "0", "--beta", "1100", "--z", "0.5"), "convergence"),
         (("q", "--A", "1", "--B", "0", "--beta", "1e300", "--z", "0.5"), "convergence"),
+        # |term 340| overflows though both its parts are finite: OverflowError traceback.
+        (("f21", "--a=112.45649842108132-0.033558035072331016i",
+          "--b=91.80646824299546-348.74520694994334i",
+          "--c=-8.062115429654835-1.7273464037010433i",
+          "--z=0.9500499036469595-0.3012562600342823i"), "domain"),
     ])
     def test_non_finite_value_is_numeric_error(self, capsys, argv, kind):
         code, out, err = run_cli(capsys, "eval", *argv)

@@ -153,6 +153,16 @@ class TestRatioSum:
         with pytest.raises(DomainError, match="term 2 is not finite"):
             ratio_sum(1.0, lambda n: 1e200, 0.0, 1e-13)
 
+    def test_overflowing_sum_of_moduli_is_named(self):
+        # Every term up to 2^1023 is finite; their moduli sum to 2^1024.
+        with pytest.raises(DomainError, match=r"^sum \|t_n\| overflows double precision at term 1023$"):
+            ratio_sum(1.0, lambda n: 2.0, 0.5, 1e-13)
+
+    def test_overflowing_modulus_is_domain_error(self):
+        # Both parts of 1.5e308 (1 + i) are finite, but abs() raised OverflowError.
+        with pytest.raises(DomainError, match=r"modulus of series term 1 or of its ratio overflows"):
+            ratio_sum(complex(1.5e8, 1.5e8), lambda n: 1e300, 0.5, 1e-13)
+
     def test_cap_is_convergence_error(self):
         with pytest.raises(ConvergenceError, match=f"within {MAX_TERMS} terms"):
             ratio_sum(1.0, lambda n: 1.0 - 1e-12, 1.0 - 1e-12, 1e-13)
@@ -199,6 +209,6 @@ def test_blocks_match_the_loop(case):
     def outcome(*blocks):
         try:
             return repr(ratio_sum(first, ratio, rho, 1e-13, start, *blocks))
-        except (NumericsError, ArithmeticError) as exc:
+        except NumericsError as exc:
             return f"{type(exc).__name__}: {exc}"
     assert outcome(ratios) == outcome()

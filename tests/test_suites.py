@@ -61,15 +61,9 @@ def scalar_inclusion_samples(rng, target):
     f_vals, g_vals = [], []
     for _ in range(16):
         for out in (f_vals, g_vals):
-            if target.is_half_plane:
-                out.append(
-                    complex(target.half_plane_edge + rng.uniform(0.01, 3.0),
-                            rng.uniform(-3.0, 3.0))
-                )
-            else:
-                rho = target.radius * math.sqrt(rng.uniform(0.0, 0.98))
-                ang = rng.uniform(0.0, 2.0 * math.pi)
-                out.append(target.center + rho * cmath.exp(1j * ang))
+            rho = target.radius * math.sqrt(rng.uniform(0.0, 0.98))
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            out.append(target.center + rho * cmath.exp(1j * ang))
     return f_vals, g_vals
 
 
@@ -127,15 +121,6 @@ def test_hypergeom_case_has_the_scalar_draws():
         assert_same_state(rng, ref)
 
 
-def check_inclusion_samples(rng, ref, target):
-    pairs = _inclusion_samples(rng, target)
-    f_vals, g_vals = scalar_inclusion_samples(ref, target)
-    assert len(pairs) == 16 and all(len(pair) == 2 for pair in pairs)
-    assert reprs(f for f, _ in pairs) == reprs(f_vals)
-    assert reprs(g for _, g in pairs) == reprs(g_vals)
-    assert_same_state(rng, ref)
-
-
 def test_inclusion_disk_samples_have_the_scalar_draws():
     # The convex suite's own trial streams: target, sigma, then the samples.
     for seed in SEEDS:
@@ -144,26 +129,17 @@ def test_inclusion_disk_samples_have_the_scalar_draws():
             target = _random_target(rng)
             assert target == _random_target(ref) and not target.is_half_plane
             assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
-            check_inclusion_samples(rng, ref, target)
-
-
-def test_inclusion_half_plane_samples_have_the_scalar_draws():
-    # verify never reaches this branch: its targets have B >= -0.95.
-    for seed in SEEDS:
-        rng, ref = _rng(seed, 4), _rng(seed, 4)
-        A = float(rng.uniform(-0.99, 1.0))
-        assert A == float(ref.uniform(-0.99, 1.0))
-        target = MobiusTarget(A, -1.0)
-        assert target.is_half_plane
-        check_inclusion_samples(rng, ref, target)
+            pairs = _inclusion_samples(rng, target)
+            f_vals, g_vals = scalar_inclusion_samples(ref, target)
+            assert len(pairs) == 16 and all(len(pair) == 2 for pair in pairs)
+            assert reprs(f for f, _ in pairs) == reprs(f_vals)
+            assert reprs(g for _, g in pairs) == reprs(g_vals)
+            assert_same_state(rng, ref)
 
 
 def test_inclusion_samples_lie_in_the_image():
-    # A = 1 puts the half-plane edge at Re w = 0.
-    for target in (MobiusTarget(1.0, -1.0), MobiusTarget(0.3, -1.0), MobiusTarget(0.5, 0.2)):
+    # Disk targets only: the convex suite draws B >= -0.95.
+    for target in (MobiusTarget(0.9, -0.95), MobiusTarget(0.5, 0.2)):
         pairs = _inclusion_samples(np.random.default_rng(7), target)
         for w in (w for pair in pairs for w in pair):
-            if target.is_half_plane:
-                assert w.real > target.half_plane_edge
-            else:
-                assert abs(w - target.center) < target.radius
+            assert abs(w - target.center) < target.radius
