@@ -56,32 +56,33 @@ def _settled_integral(beta: float, integrand: Callable, size: int, nodes: int,
                       label: Callable[[int], str]):
     """``beta * int_0^1 integrand(t, live) t^(beta-1) dt`` for ``size`` points,
     each settled on the ladder of Gauss-Jacobi rules up to ``nodes`` by
-    :func:`quadrature.settle`, as its arrays ``(value, gap, nodes used)``.
+    :func:`quadrature.settle`, as its arrays ``(value, error, nodes used)``.
 
-    A point that reaches ``nodes`` with a gap beyond 1e-8 of its value scale
-    is reported as quadrature non-convergence of the integral ``label(i)``,
-    for the first such point ``i`` (formatted only then).
+    A point that reaches ``nodes`` with an error beyond 1e-8 of its value
+    scale is reported as quadrature non-convergence of the integral
+    ``label(i)``, for the first such point ``i`` (formatted only then).
     """
-    value, gap, used = settle(integrand, size, nodes, 0.0, beta - 1.0, beta)
-    unsettled = np.flatnonzero(gap > 1e-8 * np.maximum(1.0, abs(value)))
+    value, error, used = settle(integrand, size, nodes, 0.0, beta - 1.0, beta)
+    unsettled = np.flatnonzero(error > 1e-8 * np.maximum(1.0, abs(value)))
     if unsettled.size:
         i = unsettled[0]
         raise ConvergenceError(f"quadrature for {label(i)} did not settle: {nodes} vs "
-                               f"{nodes // 2} nodes differ by {gap[i]:g}")
-    return value, gap, used
+                               f"{nodes // 2} nodes differ by {error[i]:g}")
+    return value, error, used
 
 
 def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 128
                     ) -> Result | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dominant ``beta * int_0^1 phi(zu) u^(beta-1) du`` inside the disk.
 
-    Returns ``(q, gap, nodes used)``: each point settles on the ladder of
+    Returns ``(q, error, nodes used)``: each point settles on the ladder of
     Gauss-Jacobi rules up to ``nodes`` (16, 32, 64, 128 by default), and
-    ``gap`` is its difference from the rung below the one it stopped at.
+    ``error`` is its difference from the rung below the one it stopped at
+    plus the rounding bound of that rung's sum.
     ``z`` is a scalar (a ``complex``, a ``float`` and an ``int``) or an array
     of points (arrays of its shape), all integrated in one (points x nodes)
     pass; each value has the bits a scalar call gives it.  A point unsettled
-    at ``nodes`` with a gap beyond 1e-8 of the value scale is a
+    at ``nodes`` with an error beyond 1e-8 of the value scale is a
     ConvergenceError, and a point not strictly inside the disk (NaN included)
     a DomainError, each naming the first offending z in input order.
     """
@@ -93,11 +94,11 @@ def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 12
         bad = complex(z.flat[np.flatnonzero(outside)[0]])
         raise DomainError(f"best dominant defined on |z| < 1, got |z| = {abs(bad):g}")
     flat = z.ravel()
-    q, gap, used = _settled_integral(dp.beta, lambda t, live: dp.target.phi(flat[live, None] * t),
+    q, error, used = _settled_integral(dp.beta, lambda t, live: dp.target.phi(flat[live, None] * t),
                                      flat.size, nodes, lambda i: f"q({complex(flat[i])})")
     if z.ndim == 0:
-        return complex(q[0]), float(gap[0]), int(used[0])
-    return q.reshape(z.shape), gap.reshape(z.shape), used.reshape(z.shape)
+        return complex(q[0]), float(error[0]), int(used[0])
+    return q.reshape(z.shape), error.reshape(z.shape), used.reshape(z.shape)
 
 
 def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:

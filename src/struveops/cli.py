@@ -100,7 +100,8 @@ def seed_int(text: str) -> int:
 
 
 #: Largest ``eval q --nodes``, the top rung of q's node ladder: a Gauss-Jacobi
-#: rule costs O(n^2) to build, and q builds each rung up to it that it needs.
+#: rule costs O(n^3) to build (dense eigenvalues), and q builds each rung up
+#: to it that it needs.
 MAX_NODES = 2048
 MAX_SAMPLES = 1_000_000  #: Most ``member`` samples, ``--points`` x radii: 10^6 take ~150 MB.
 

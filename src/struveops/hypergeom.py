@@ -104,7 +104,8 @@ def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> Result:
     any imaginary parts remain in the integrand as unit-modulus factors.  The
     integral settles on the ladder of rules up to ``nodes`` (16, 32, 64, 128
     by default), and the result is ``(value, est_error, nodes used)``: the
-    gap to the rung below, scaled by the gamma prefactor with its own error.
+    gap to the rung below plus the rule's rounding bound, scaled by the gamma
+    prefactor with its own error.
     A nonzero bound not below ``|value|`` raises ConvergenceError, as in
     ``ratio_sum``.  Requires Re c > Re b > 0 and z off the cut [1, oo).
     """
@@ -124,10 +125,10 @@ def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> Result:
         if (c - b).imag != 0.0:
             f = f * np.exp(1j * (c - b).imag * np.log(1.0 - t))
         return f
-    value, gap, used = settle(integrand, 1, nodes, c.real - b.real - 1.0, b.real - 1.0)
+    value, error, used = settle(integrand, 1, nodes, c.real - b.real - 1.0, b.real - 1.0)
     prefactor = gamma(c) / (gamma(c - b) * gamma(b))
     value, est, used = scaled(prefactor, 3.0 * GAMMA_RTOL,
-                              (complex(value[0]), float(gap[0]), int(used[0])))
+                              (complex(value[0]), float(error[0]), int(used[0])))
     if est and not est < abs(value):
         raise ConvergenceError(f"no correct digit: error bound {est:g} >= |value| "
                                f"{abs(value):g} at {used} nodes")

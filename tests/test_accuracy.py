@@ -8,6 +8,7 @@ the three 2F1 routes (the outer one with 1 - |z| down to 1e-3, up to about
 generalized family, the normalized kernel N and phi = z N inside the disk,
 and h-bound with 1 - |z| down to 1e-3 (including the half-plane target);
 and the Euler integral over the draws of the ``hypergeom`` verify suite.
+The dominant q is held to its error at 40 digits near its pole at z = -1/B.
 """
 
 import math
@@ -23,6 +24,7 @@ from struveops import (
     MobiusTarget,
     NumericsError,
     StruveParams,
+    best_dominant_q,
     f21,
     f21_euler,
     generalized_m,
@@ -188,3 +190,23 @@ def test_f21_euler_complex_exponents_within_reported_error():
     # this integral once returned 41.4 + 14.8i with est 84.5, no digit right.
     with pytest.raises(ConvergenceError, match="no correct digit"):
         f21_euler(HypergeomParams(1, complex(0.1, 1.0), 0.3), 0.6)
+
+
+def test_q_near_the_unit_circle_within_reported_error():
+    # B = -1 puts the pole of phi on the unit circle.  The rules of
+    # scipy.special.roots_jacobi left q up to 4.2e-12 off here, beyond the gap
+    # it reported, and a gap of 0 between exact rules once reported 0.0 for a
+    # value 1 ulp off.
+    rng = np.random.default_rng(1969)
+    cases = [(1.0, 1.0, 0.99),
+             (0.21379527362795125, 0.4719382483185858,
+              complex(0.9831317928092228, 0.011847204080945294))]
+    for _ in range(40):
+        cases.append((rng.uniform(-0.9, 1.0), rng.uniform(0.2, 3.0),
+                      _disk_point(rng, rng.uniform(0.95, 0.99))))
+    with mpmath.workdps(40):
+        for i, (A, beta, z) in enumerate(cases):
+            q, est, _ = best_dominant_q(DominantParams(beta, MobiusTarget(A, -1.0)), z)
+            exact = -A + (1 + A) * mpmath.hyp2f1(1, beta, beta + 1, mpmath.mpmathify(z))
+            error = abs(q - complex(exact))
+            assert error <= est, f"case {i}: error {error:.3g} > est_error {est:.3g}"

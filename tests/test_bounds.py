@@ -23,6 +23,7 @@ from struveops import (
     re_zqprime_over_q,
     sharp_bound_h,
 )
+from struveops.series import gamma_n
 
 
 def dominant(A, B, beta):
@@ -167,7 +168,7 @@ class TestBestDominantQArrays:
     def test_points_at_the_cap_keep_the_two_rule_bits(self):
         # A point that reaches --nodes gets the value of the fixed
         # nodes-vs-nodes // 2 pair that q used before the ladder, and the gap
-        # a scalar call measured for it.
+        # a scalar call measured for it plus the rounding bound of the sum.
         from struveops.quadrature import jacobi_rule_01
 
         rng = np.random.default_rng(65)
@@ -177,11 +178,14 @@ class TestBestDominantQArrays:
         capped = used == 128
         assert 0 < np.count_nonzero(capped) < zs.size
         t, w = jacobi_rule_01(128, 0.0, dp.beta - 1.0)
-        full = dp.beta * np.vecdot(w, dp.target.phi(zs[capped, None] * t))
+        f = dp.target.phi(zs[capped, None] * t)
+        full = dp.beta * np.vecdot(w, f)
+        rounding = gamma_n(128) * dp.beta * np.vecdot(w, np.abs(f))
         t, w = jacobi_rule_01(64, 0.0, dp.beta - 1.0)
         half = dp.beta * np.vecdot(w, dp.target.phi(zs[capped, None] * t))
         assert q[capped].tobytes() == full.tobytes()
-        assert gap[capped].tolist() == [abs(d) for d in (full - half).tolist()]
+        assert gap[capped].tolist() == [abs(d) + r for d, r in zip((full - half).tolist(),
+                                                                   rounding.tolist())]
 
     @pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(0.5, math.nan), complex(math.nan, 0.0)])
     def test_nan_point_is_domain_error(self, z):
@@ -190,12 +194,13 @@ class TestBestDominantQArrays:
 
 
 class TestBestDominantQGap:
-    """q comes with the full-vs-half gap its one integration measured."""
+    """q comes with the full-vs-half gap its one integration measured, plus
+    the rounding bound of the rule it stopped at."""
 
     def test_gap_is_the_difference_from_the_half_rule(self):
         # The gap is to the rung below the one q stopped at, the first rung
         # whose gap is within SETTLE_RTOL of the value scale, or the cap.
-        from struveops.quadrature import SETTLE_RTOL, _ladder
+        from struveops.quadrature import SETTLE_RTOL, _ladder, jacobi_rule_01
 
         rng = np.random.default_rng(808)
         for _ in range(60):
@@ -209,8 +214,10 @@ class TestBestDominantQGap:
             rungs = _ladder(nodes)
             below = rungs[rungs.index(used) - 1]
             coarse, _, _ = best_dominant_q(dp, z, below)
-            assert repr(gap) == repr(abs(q - coarse))
-            assert used == nodes or gap <= SETTLE_RTOL * max(1.0, abs(q))
+            t, w = jacobi_rule_01(used, 0.0, dp.beta - 1.0)
+            rounding = gamma_n(used) * dp.beta * np.vecdot(w, np.abs(dp.target.phi(z * t)))
+            assert repr(gap) == repr(abs(q - coarse) + float(rounding))
+            assert used == nodes or abs(q - coarse) <= SETTLE_RTOL * max(1.0, abs(q))
             for n in rungs[1:rungs.index(used)]:
                 _, g, u = best_dominant_q(dp, z, n)
                 assert u == n and g > SETTLE_RTOL * max(1.0, abs(q))

@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 
 from struveops import DomainError, cli
 from struveops.cli import main, parse_complex
@@ -130,7 +129,9 @@ class TestEval:
 # Exact stdout of every eval target.  All but q were re-recorded when every
 # series target moved to the one ratio-series kernel, which prints its own
 # error bound and term count; the f21 and h-bound values kept their bits.
-# q was re-recorded when it moved to the node ladder, where it stops at 32.
+# q was re-recorded when it moved to the node ladder, where it stops at 32,
+# and again when its rules came from Golub-Welsch: its value is now 40-digit
+# mpmath rounded (7.7e-16 off before), with the rule's rounding in est_error.
 EVAL_GOLDEN = [
     (("struve-h", "--p", "0.5", "--z", "1.5"),
      '{"est_error": 1.2902961521653993e-13, "input": {"p": "(0.5+0j)", "target": "struve-h", '
@@ -154,9 +155,9 @@ EVAL_GOLDEN = [
      '{"est_error": 3.669914148196808e-14, "input": {"a": "(1+0j)", "b": "(1+0j)", "c": "(2+0j)", '
      '"target": "f21", "z": "(-0.8+0j)"}, "terms_or_nodes": 35, "value": [0.734733331127636, 0.0]}'),
     (("q", "--A", "1", "--B", "-0.5", "--beta", "1.5", "--z", "0.4+0.3i"),
-     '{"est_error": 5.900916318210353e-16, "input": {"A": 1.0, "B": -0.5, "beta": 1.5, '
+     '{"est_error": 5.320322109504799e-15, "input": {"A": 1.0, "B": -0.5, "beta": 1.5, '
      '"target": "q", "z": "(0.4+0.3j)"}, "terms_or_nodes": 32, '
-     '"value": [1.3735190449208183, 0.363299439992227]}'),
+     '"value": [1.3735190449208177, 0.36329943999222664]}'),
     (("h-bound", "--A", "1", "--B", "-1", "--beta", "0.75", "--z=-0.5+0.25i"),
      '{"est_error": 8.276938564682949e-14, "input": {"A": 1.0, "B": -1.0, "beta": 0.75, '
      '"target": "h-bound", "z": "(-0.5+0.25j)"}, "terms_or_nodes": 29, '
@@ -200,12 +201,14 @@ class TestEvalQOneQuadrature:
 
     def test_near_the_pole_reaches_the_cap_with_the_two_rule_bits(self, capsys):
         # At --nodes the ladder prints what the fixed 128-vs-64 pair printed.
+        # 1.8e-14 from 40-digit mpmath's 8.30337411310725529; the rules of
+        # scipy.special.roots_jacobi printed a value 2.1e-12 off.
         code, out, _ = run_cli(capsys, "eval", "q", "--A", "1", "--B=-1", "--beta", "1",
                                "--z", "0.99")
         data = json.loads(out)
         assert code == 0 and data["terms_or_nodes"] == 128
-        assert data["value"] == [8.303374113109385, 0.0]
-        assert data["est_error"] == 7.315570371702051e-11
+        assert data["value"] == [8.303374113107237, 0.0]
+        assert data["est_error"] == 7.134813094627798e-11
 
     def test_eight_nodes_compare_with_four(self, capsys):
         # The half rule must have fewer nodes: 8 against 8 reads a gap of 0
@@ -235,8 +238,6 @@ class TestEvalGolden:
         (("struve-m", "--p", "0.5", "--b", "1", "--c", "1e300", "--z", "0.5"), "domain"),
         (("struve-n", "--p", "0.5", "--b", "1", "--c", "1e300", "--z", "0.5"), "domain"),
         (("struve-h", "--p", "170", "--z", "1"), "domain"),  # OverflowError traceback
-        (("q", "--A", "1", "--B", "0", "--beta", "1100", "--z", "0.5"), "convergence"),
-        (("q", "--A", "1", "--B", "0", "--beta", "1e300", "--z", "0.5"), "convergence"),
         # |term 340| overflows though both its parts are finite: OverflowError traceback.
         (("f21", "--a=112.45649842108132-0.033558035072331016i",
           "--b=91.80646824299546-348.74520694994334i",
@@ -247,6 +248,18 @@ class TestEvalGolden:
         code, out, err = run_cli(capsys, "eval", *argv)
         assert (code, out) == (3, "")
         assert err.startswith(f"error [{kind}]")
+
+    def test_q_at_beta_1e300_is_right_or_convergence_error(self, capsys):
+        # Rules from scipy.special.roots_jacobi were not finite here (exit 3),
+        # and a recurrence that forms beta^2 raises OverflowError (a traceback).
+        code, out, err = run_cli(capsys, "eval", "q", "--A", "1", "--B", "0", "--beta", "1e300",
+                                 "--z", "0.5")
+        if code == 3:
+            assert out == "" and err.startswith("error [convergence]")
+        else:
+            data = json.loads(out)
+            assert (code, err, data["value"][1]) == (0, "", 0.0)
+            assert abs(data["value"][0] - 1.5) <= data["est_error"]
 
 
 class TestKernelErrors:
@@ -541,25 +554,25 @@ class TestVerify:
         assert grand["failed"] == 0
 
     @pytest.mark.skipif(
-        (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
-        reason="the pinned digest was recorded with numpy 2.4.6 and scipy 1.17.1",
+        np.__version__ != "2.4.6",
+        reason="the pinned digest was recorded with numpy 2.4.6",
     )
     def test_seed_one_digest_is_pinned(self, capsys):
         # The refactor oracle: any change to a printed number changes this digest.
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "cee19f68b9926ef3f441fe61c9f26a4789ad5b13f80d8fcb6c570c52efa52bff"
+            "476e7e4336e901c44f715f649bb6c24418f0e5d67117182ef1002885c67ec533"
         )
 
     @pytest.mark.skipif(
-        (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
-        reason="the pinned digests were recorded with numpy 2.4.6 and scipy 1.17.1",
+        np.__version__ != "2.4.6",
+        reason="the pinned digests were recorded with numpy 2.4.6",
     )
     @pytest.mark.parametrize("seed,digest", [
-        (0, "d324172f77457427c69ed72388280a32d0ec260feedb3dcd64524b4947b20d44"),
-        (2, "f285f0be8d690e962565174f0ca9fa5faf0a0410d3339ba36e8662a48ebd35bd"),
-        (3, "d2cfa9991bbc16bdc8a1b009e99816935f636fcf69f59dc2d01582d6abfff67e"),
+        (0, "7f6ee47acd64cf8aec0a983a00ce23420676ecf23d0e74146544335206120fb8"),
+        (2, "10a82954e63b27fa42e6bee1deaba0f8b62cfb37ad7e4eb085c6b1042c43cd27"),
+        (3, "2c0659d4bb4de07021692986e7469f9dd5613294348c8b156a65d56aa6107e28"),
     ])
     def test_other_seed_digests_are_pinned(self, capsys, seed, digest):
         # Other draws of every suite, so that a change one seed misses shows.
@@ -652,13 +665,59 @@ def test_dump_matches_verdict(capsys, tmp_path):
     assert all(repr(float(x)) == x for row in rows for x in row)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # The slow scipy imports wait for a Gauss-Jacobi rule build and the
-    # re-bounds oracle, so a cold `eval` that needs neither never pays them.
-    # numpy.random (about 18 ms) waits for the first seeded draw of a suite.
+#: Runs the CLI commands of its second argument (JSON) in one fresh
+#: interpreter and prints, as JSON, the modules of interest that importing the
+#: CLI loaded, each command's exit code and stdout sha256, and every scipy
+#: module loaded by the end.  With "block" as its first argument, a meta-path
+#: finder first makes every import of scipy raise ImportError.
+CLI_PROBE = """
+import contextlib, hashlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+import struveops.cli
+on_import = [m for m in ("scipy", "numpy.random") if m in sys.modules]
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = struveops.cli.main(argv)
+    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"on_import": on_import, "runs": runs, "scipy": scipy}))
+"""
+
+#: Every path that used to import scipy: rules for q, h(-1) and the Euler
+#: integral, and the re-bounds oracle.
+SCIPY_PATHS = [["verify", "--suite", "all", "--seed", "1"],
+               ["eval", "q", "--A", "1", "--B", "0.5", "--beta", "2000", "--z", "0.5"]]
+
+
+def cli_probe(mode):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = ("import sys, struveops.cli; print([m for m in "
-             "('scipy.special', 'scipy.integrate', 'numpy.random') if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", CLI_PROBE, mode, json.dumps(SCIPY_PATHS)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test oracle only: no command imports it.  numpy.random
+    # (about 18 ms) waits for the first seeded draw of a suite.
+    probe = cli_probe("plain")
+    assert probe["on_import"] == [] and probe["scipy"] == []
+    assert [code for code, _ in probe["runs"]] == [0] * len(SCIPY_PATHS)
+
+
+def test_commands_print_the_same_with_scipy_blocked(capsys):
+    expected = []
+    for argv in SCIPY_PATHS:
+        code, out, _ = run_cli(capsys, *argv)
+        expected.append([code, hashlib.sha256(out.encode()).hexdigest()])
+    assert cli_probe("block")["runs"] == expected
+    assert [code for code, _ in expected] == [0] * len(SCIPY_PATHS)

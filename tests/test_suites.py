@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from struveops import MobiusTarget, StruveParams
+from struveops import ConvergenceError, MobiusTarget, StruveParams
 from struveops.specialfn import is_nonpositive_integer
 from struveops.suites import (
+    _bound_integral,
     _inclusion_samples,
     _random_complexes,
     _random_hypergeom_case,
@@ -143,3 +144,24 @@ def test_inclusion_samples_lie_in_the_image():
         pairs = _inclusion_samples(np.random.default_rng(7), target)
         for w in (w for pair in pairs for w in pair):
             assert abs(w - target.center) < target.radius
+
+
+def test_bound_oracle_matches_mpmath():
+    # The re-bounds suite's domain: |B| <= 0.85, B < A <= 1, 1/4 <= beta <= 2.
+    import mpmath
+
+    rng = np.random.default_rng(1974)
+    with mpmath.workdps(40):
+        for _ in range(40):
+            B = float(rng.uniform(-0.85, 0.85))
+            A, beta = float(rng.uniform(B, 1.0)), float(rng.uniform(0.25, 2.0))
+            for sign in (-1.0, 1.0):
+                exact = mpmath.mpf(A) / B + (1 - mpmath.mpf(A) / B) * mpmath.hyp2f1(
+                    1, beta, beta + 1, -sign * B)
+                assert abs(_bound_integral(A, B, beta, sign) - exact) <= 1e-15 * abs(exact)
+
+
+def test_unsettled_bound_oracle_is_convergence_error():
+    # A pole at t = 1/2 inside the interval: no two levels ever agree.
+    with pytest.raises(ConvergenceError, match="tanh-sinh rule .* did not settle"):
+        _bound_integral(0.5, -2.0, 0.7, 1.0)
