@@ -6,15 +6,14 @@ Möbius target (A, B).  The central object is the best dominant
     q(z) = beta * int_0^1 phi(z u) u^(beta-1) du,            phi = (1+Aw)/(1+Bw),
 
 computed by Gauss-Jacobi quadrature whose weight absorbs the u^(beta-1)
-endpoint singularity, and its closed form
+endpoint singularity.  Since phi(w) - 1 = (A-B) w / (1+Bw), its closed form is
 
-    h(z) = A/B + (1 - A/B) (1+Bz)^(-1) 2F1(1, 1, beta+1; Bz/(1+Bz))   (B != 0)
-    h(z) = 1 + (beta/(beta+1)) A z                                    (B  = 0)
+    h(z) = 1 + (A-B) z beta/(beta+1) 2F1(1, beta+1; beta+2; -Bz),
 
-which the 2F1 dispatcher evaluates for every z in the disk (the Pfaff route
-turns the argument Bz/(1+Bz) into -Bz, always inside the disk).  The real and
-modulus bound pairs are the same closed form at the real arguments +-B and
-+-Br.
+written once, in ``_closed_form``: B = 0 is the argument 0, and no digit is
+lost to a division by B.  The 2F1 dispatcher evaluates it on the closed disk
+(the Pfaff route covers -Bz near -1).  ``sharp_bound_h`` is h inside the disk,
+and the modulus and real bound pairs are the real parts of h at -r and +r.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .classes import MobiusTarget, Verdict
 from .errors import ConvergenceError, DomainError, ParameterError
 from .hypergeom import HypergeomParams, f21
 from .quadrature import settle
-from .series import Result, gamma_n
+from .series import Result, gamma_n, scaled
 
 
 @dataclass(frozen=True)
@@ -101,24 +100,27 @@ def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 12
     return q.reshape(z.shape), error.reshape(z.shape), used.reshape(z.shape)
 
 
+def _closed_form(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
+    """``h(z)`` of the module docstring as ``(value, est_error, terms)``: the
+    2F1 bound scaled by its prefactor, plus the rounding of the prefactor, of
+    its product with 2F1 and of the sum with 1."""
+    A, B, beta = dp.target.A, dp.target.B, dp.beta
+    d = (A - B) * z * (beta / (beta + 1.0))
+    value, est, terms = scaled(d, gamma_n(9), f21(HypergeomParams(1.0, beta + 1.0, beta + 2.0),
+                                                 -B * z, tol))
+    h = 1.0 + value
+    return h, est + gamma_n(1) * abs(h), terms
+
+
 def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
-    """Closed form of the best dominant (see module docstring), as
-    ``(value, est_error, terms)``: the 2F1 bound scaled by its factor, plus
-    the rounding of the closed form around it."""
+    """Closed form of the best dominant (see module docstring) on ``|z| < 1``,
+    as ``(value, est_error, terms)``."""
     if dp.beta <= 0:
         raise ParameterError(f"sharp bound needs beta > 0, got {dp.beta}")
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError(f"sharp bound defined on |z| < 1, got |z| = {abs(z):g}")
-    A, B = dp.target.A, dp.target.B
-    if B == 0.0:
-        d = dp.beta / (dp.beta + 1.0) * A * z
-        return 1.0 + d, gamma_n(4) * (1.0 + abs(d)), 0
-    w = B * z / (1.0 + B * z)
-    value, est, terms = f21(HypergeomParams(1.0, 1.0, dp.beta + 1.0), w, tol)
-    h = A / B + (1.0 - A / B) * value / (1.0 + B * z)
-    scale = abs(1.0 - A / B) / abs(1.0 + B * z)
-    return h, scale * est + gamma_n(8) * (abs(A / B) + scale * abs(value)), terms
+    return _closed_form(dp, z, tol)
 
 
 def lower_bound_h_minus1(dp: DominantParams) -> float:
@@ -233,26 +235,17 @@ def re_bounds(dp: DominantParams) -> tuple[float, float]:
 
 
 def modulus_bounds(dp: DominantParams, r: float) -> tuple[float, float]:
-    """Modulus extremes of the de-rotated functional on ``|z| <= r``:
-
-        A/B + (1 - A/B) 2F1(1, beta, beta+1; +-B r)               (B != 0)
-        1 -+ (beta/(beta+1)) A r                                  (B  = 0)
-
-    for ``0 <= r <= 1``; the intervals nest and ``r = 1`` gives the Re bounds.
-    At ``B r = -1`` the upper 2F1 argument hits +1, where the function
-    diverges, and the upper bound is inf.
+    """Modulus extremes of the de-rotated functional on ``|z| <= r``: the real
+    parts of the closed form at ``-r`` and ``+r``, for ``0 <= r <= 1``.  The
+    intervals nest and ``r = 1`` gives the Re bounds.  At ``B r = -1`` the
+    2F1 argument of the upper bound hits +1, where the function diverges, and
+    the upper bound is inf.
     """
     if dp.beta < 0:
         raise ParameterError(f"bounds need beta >= 0, got {dp.beta}")
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"r must lie in [0, 1], got {r}")
-    A, B = dp.target.A, dp.target.B
-    if B == 0.0:
-        d = dp.beta / (dp.beta + 1.0) * A * r
-        return 1.0 - d, 1.0 + d
-    hp = HypergeomParams(1.0, dp.beta, dp.beta + 1.0)
-    lower = A / B + (1.0 - A / B) * f21(hp, B * r)[0].real
-    if B * r == -1.0:
+    lower = _closed_form(dp, -r)[0].real
+    if dp.target.B * r == -1.0:
         return lower, math.inf
-    upper = A / B + (1.0 - A / B) * f21(hp, -B * r)[0].real
-    return lower, upper
+    return lower, _closed_form(dp, r)[0].real

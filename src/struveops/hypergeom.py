@@ -10,8 +10,8 @@
                       and therefore reaches arguments far outside it
                       (z -> -1 and beyond) at geometric convergence rates.
 
-``f21`` dispatches between the series and the Pfaff route; the Euler integral
-is kept as the independent cross-check path.
+``f21`` takes the series or the Pfaff route, whichever argument is smaller;
+the Euler integral is kept as the independent cross-check path.
 """
 
 from __future__ import annotations
@@ -155,16 +155,17 @@ def f21_pfaff(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
 
 
 def f21(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
-    """Dispatcher: series for small |z|, Pfaff wherever it converges, series
-    again on the rest of the unit disk; returns the route's result.
+    """Dispatcher: series for small |z|, Pfaff where its argument z/(z-1) is
+    the smaller (Re z < 1/2 and |z - 1| > 1), series on the rest of the disk.
 
     Covers every z with |z| < 1 plus the analytic continuation onto
-    Re z < 1/2; arguments with |z| >= 1 and Re z >= 1/2 are rejected.
+    Re z < 1/2 (|z| >= 1 there implies |z - 1| > 1); arguments with |z| >= 1
+    and Re z >= 1/2 are rejected.
     """
     z = complex(z)
     if abs(z) <= 0.5:
         return f21_series(hp, z, tol)
-    if z.real < 0.5:
+    if z.real < 0.5 and abs(z - 1.0) > 1.0:
         return f21_pfaff(hp, z, tol)
     if abs(z) < 1.0:
         return f21_series(hp, z, tol)

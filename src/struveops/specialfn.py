@@ -76,9 +76,12 @@ def gamma(z: complex) -> complex:
     if is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z.real:g}")
     if z.real < 0.5:
-        # gamma(z) gamma(1-z) = pi / sin(pi z); sin overflows once |Im z| > ~225
+        # gamma(z) gamma(1-z) = pi / sin(pi z); sin overflows once |Im z| > ~225.
+        # sin(pi z) = (-1)^n sin(pi (z - n)), n the nearest integer: z - n is exact.
         try:
-            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+            n = round(z.real)
+            s = cmath.sin(math.pi * (z - n))
+            return math.pi / ((-s if n % 2 else s) * gamma(1.0 - z))
         except OverflowError:
             raise DomainError(f"gamma overflows double precision at z = {z}") from None
     w = z - 1.0

@@ -8,7 +8,9 @@ the three 2F1 routes (the outer one with 1 - |z| down to 1e-3, up to about
 generalized family, the normalized kernel N and phi = z N inside the disk,
 and h-bound with 1 - |z| down to 1e-3 (including the half-plane target);
 and the Euler integral over the draws of the ``hypergeom`` verify suite.
-The dominant q is held to its error at 40 digits near its pole at z = -1/B.
+The dominant q is held to its error at 40 digits near its pole at z = -1/B,
+h at B = 0 and at B within 1e-8 of it, and gamma and the generalized Struve
+function next to a pole of gamma.
 """
 
 import math
@@ -27,6 +29,7 @@ from struveops import (
     best_dominant_q,
     f21,
     f21_euler,
+    gamma,
     generalized_m,
     normalized_n,
     phi,
@@ -34,6 +37,7 @@ from struveops import (
     struve_h,
     struve_l,
 )
+from struveops.specialfn import GAMMA_RTOL
 
 CASES = 300
 
@@ -107,8 +111,13 @@ def _h_case(rng):
         if B != -1.0 or abs(1.0 - z) >= 0.1:
             break
     dp = DominantParams(beta, MobiusTarget(A, B))
-    return (lambda: sharp_bound_h(dp, z),
-            lambda: A / B + (1 - A / B) * mpmath.hyp2f1(1, beta, beta + 1, -B * mpmath.mpc(z)))
+    return lambda: sharp_bound_h(dp, z), lambda: _h_reference(A, B, beta, z)
+
+
+def _h_reference(A, B, beta, z):
+    # The closed form without A/B, whose division loses digits as B -> 0.
+    A, B, beta, z = (mpmath.mpmathify(v) for v in (A, B, beta, z))
+    return 1 + (A - B) * z * beta / (beta + 1) * mpmath.hyp2f1(1, beta + 1, beta + 2, -B * z)
 
 
 def _euler_case(rng):
@@ -210,3 +219,32 @@ def test_q_near_the_unit_circle_within_reported_error():
             exact = -A + (1 + A) * mpmath.hyp2f1(1, beta, beta + 1, mpmath.mpmathify(z))
             error = abs(q - complex(exact))
             assert error <= est, f"case {i}: error {error:.3g} > est_error {est:.3g}"
+
+
+@pytest.mark.parametrize("B", [0.0, 1e-8, -1e-8, 1e-12, -1e-12])
+def test_h_near_b_zero_within_reported_error(B):
+    # The A/B form of h lost digits as 1/|B|: at B = -1e-12 its real part
+    # printed 1.0 for 0.999999999999865, with an est_error of 1.8e-3.
+    with mpmath.workdps(40):
+        for A, beta, z in ((0.5, 1.0, 0.9j), (1.0, 0.3, complex(-0.6, 0.7)),
+                           (0.2, 2.5, 0.99), (0.9, 0.75, complex(0.1, -0.2))):
+            value, est, _ = sharp_bound_h(DominantParams(beta, MobiusTarget(A, B)), z)
+            error = float(abs(value - _h_reference(A, B, beta, z)))
+            assert error <= est <= 1e-13 * max(1.0, abs(value)), (A, beta, z, error, est)
+
+
+@pytest.mark.parametrize("z", [complex(-2.0 + 1e-6), complex(-3.0 + 1e-9, 1e-3)])
+def test_gamma_next_to_a_pole_within_its_rtol(z):
+    # sin(pi z) through the rounded product pi z was 1.6e-10 off at -2 + 1e-6.
+    with mpmath.workdps(40):
+        exact = complex(mpmath.gamma(mpmath.mpmathify(z)))
+    assert abs(gamma(z) - exact) <= GAMMA_RTOL * abs(exact)
+
+
+def test_m_next_to_a_pole_of_gamma_within_reported_error():
+    # k = p + 3/2 = -2 + 1e-6: the value was 4.5e-13 off, reporting 4.5e-16.
+    sp = StruveParams(-3.5 + 1e-6, 1.0, 1.0)
+    value, est, _ = generalized_m(sp, 0.7)
+    with mpmath.workdps(40):
+        error = abs(value - complex(_m_reference(sp, 0.7)))
+    assert error <= est

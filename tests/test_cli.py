@@ -132,6 +132,8 @@ class TestEval:
 # q was re-recorded when it moved to the node ladder, where it stops at 32,
 # and again when its rules came from Golub-Welsch: its value is now 40-digit
 # mpmath rounded (7.7e-16 off before), with the rule's rounding in est_error.
+# h-bound was re-recorded when h became 1 + (A-B) z beta/(beta+1)
+# 2F1(1, beta+1; beta+2; -Bz): 4e-15 from 40-digit mpmath (3.5e-14 before).
 EVAL_GOLDEN = [
     (("struve-h", "--p", "0.5", "--z", "1.5"),
      '{"est_error": 1.2902961521653993e-13, "input": {"p": "(0.5+0j)", "target": "struve-h", '
@@ -159,9 +161,9 @@ EVAL_GOLDEN = [
      '"target": "q", "z": "(0.4+0.3j)"}, "terms_or_nodes": 32, '
      '"value": [1.3735190449208177, 0.36329943999222664]}'),
     (("h-bound", "--A", "1", "--B", "-1", "--beta", "0.75", "--z=-0.5+0.25i"),
-     '{"est_error": 8.276938564682949e-14, "input": {"A": 1.0, "B": -1.0, "beta": 0.75, '
-     '"target": "h-bound", "z": "(-0.5+0.25j)"}, "terms_or_nodes": 29, '
-     '"value": [0.6581618274765564, 0.12523188103874824]}'),
+     '{"est_error": 1.3914128371771162e-14, "input": {"A": 1.0, "B": -1.0, "beta": 0.75, '
+     '"target": "h-bound", "z": "(-0.5+0.25j)"}, "terms_or_nodes": 27, '
+     '"value": [0.6581618274765287, 0.1252318810387204]}'),
 ]
 
 
@@ -265,13 +267,14 @@ class TestEvalGolden:
 class TestKernelErrors:
     """Every series target prints the kernel's own bound, or exits 3."""
 
+    # |z| > 1 with Re z < 1/2, which only the Pfaff route reaches.
     PFAFF = ("--a", "19.229515266404327", "--b=-16.566421238049273", "--c", "1.8522355983271444",
-             "--z=0.47738408101505003+0.40630071161762465j")
+             "--z=0.3-1.1i")
 
     @pytest.mark.parametrize("argv", [("f21", *PFAFF), ("struve-h", "--p", "0.5", "--z", "45")],
                              ids=["f21-pfaff", "struve-h-45"])
     def test_no_correct_digit_is_convergence_error(self, capsys, argv):
-        # These printed -1.37e39 (true 5514) and 10.88 (true 0.0565) with exit 0.
+        # Such sums once printed -1.37e39 (true 5514) and 10.88 (true 0.0565) with exit 0.
         code, out, err = run_cli(capsys, "eval", *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error [convergence]: no correct digit")
@@ -562,7 +565,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "476e7e4336e901c44f715f649bb6c24418f0e5d67117182ef1002885c67ec533"
+            "397ec8a18cb70520e790e3907a5efd380cf1e2c43025ff360d34983f92c8354b"
         )
 
     @pytest.mark.skipif(
@@ -570,10 +573,10 @@ class TestVerify:
         reason="the pinned digests were recorded with numpy 2.4.6",
     )
     @pytest.mark.parametrize("seed,digest", [
-        (0, "7f6ee47acd64cf8aec0a983a00ce23420676ecf23d0e74146544335206120fb8"),
-        (2, "10a82954e63b27fa42e6bee1deaba0f8b62cfb37ad7e4eb085c6b1042c43cd27"),
-        (3, "2c0659d4bb4de07021692986e7469f9dd5613294348c8b156a65d56aa6107e28"),
-    ])
+        (0, "af532646a3758c6e69beec01af15d8172f7a8462f217dd1de86472324e194e63"),
+        (2, "41552c0652cde26737ad08250b22b0116c563183abf6a0277a798846c2089d97"),
+        (3, "e6c77bb6e38f612df3d5bb02e95d7ea8ab50bcda9e3d73db82856dc473320f39"),
+    ], ids=["seed-0", "seed-2", "seed-3"])  # a re-pin keeps the test names
     def test_other_seed_digests_are_pinned(self, capsys, seed, digest):
         # Other draws of every suite, so that a change one seed misses shows.
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", str(seed))

@@ -144,6 +144,18 @@ class TestDispatcher:
         z = complex(-2.0, 0.5)
         assert abs(f21(hp, z)[0] - log_form(z)) <= 1e-12
 
+    def test_near_re_half_uses_series(self):
+        # Pfaff's argument z/(z-1) has modulus ~1 here; it ran 100,000 terms.
+        hp = HypergeomParams(1, 1, 2)
+        z = complex(0.49999, 0.13)
+        assert f21(hp, z) == f21_series(hp, z)
+        assert abs(f21(hp, z)[0] - log_form(z)) <= 1e-13
+        # |z/(z-1)| = 0.95 against |z| = 0.63: Pfaff's sum had no correct digit.
+        z = complex(0.47738408101505003, 0.40630071161762465)
+        value, est, _ = f21(HypergeomParams(19.229515266404327, -16.566421238049273,
+                                            1.8522355983271444), z)
+        assert abs(value - complex(5514.429468183848, -1547.7657781221574)) <= est
+
     def test_slow_series_region(self):
         hp = HypergeomParams(1, 1, 2)
         assert abs(f21(hp, 0.8)[0] - log_form(0.8)) <= 1e-11
