@@ -72,15 +72,8 @@ class MobiusTarget:
 
         Takes a scalar or an array of z.  An array gives, bit for bit, what
         numpy scalar calls give; Python ``complex`` division rounds its own way.
-        The arithmetic is done in place, so an array costs three temporaries
-        instead of five: q and h(-1) call this on (points x nodes) arrays.
         """
-        num = self.A * z
-        num += 1.0
-        den = self.B * z
-        den += 1.0
-        num /= den
-        return num
+        return (self.A * z + 1.0) / (self.B * z + 1.0)
 
 
 @dataclass(frozen=True)
@@ -159,10 +152,9 @@ def _derotate(cp: ClassParams, value: complex | np.ndarray) -> complex | np.ndar
     return (value - 1j * math.sin(cp.alpha)) / math.cos(cp.alpha)
 
 
-def _on_circles(coeffs: Sequence[complex], radii: np.ndarray, points: int) -> np.ndarray:
-    """``sum_n coeffs[n] z^n`` at ``points`` equally spaced z from angle 0 on each
+def _on_circles(c: np.ndarray, radii: np.ndarray, points: int) -> np.ndarray:
+    """``sum_n c[n] z^n`` at ``points`` equally spaced z from angle 0 on each
     circle ``|z| = radii[i]`` (row i), by one FFT; powers fold mod ``points``."""
-    c = np.asarray(coeffs, dtype=complex)
     terms = np.zeros((len(radii), -(-c.size // points) * points), dtype=complex)
     terms[:, :c.size] = c * radii[:, None] ** np.arange(c.size)
     return np.fft.ifft(terms.reshape(len(radii), -1, points).sum(axis=1), norm="forward")

@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import ctypes
 import functools
 import json
 import math
 import sys
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .bounds import DominantParams, best_dominant_q, sharp_bound_h
 from .classes import (
@@ -181,11 +184,11 @@ def _load_coefficients(path: str) -> PowerSeries:
         if not isinstance(data, list):
             raise ValueError("top-level JSON value must be an array")
         f = PowerSeries.from_pairs(data)
-        for n, c in enumerate(f.coeffs):  # json accepts NaN, Infinity and 1e999
-            if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient at power {n}: {c}")
+        bad = np.flatnonzero(~np.isfinite(f.coeffs))  # json accepts NaN, Infinity and 1e999
+        if bad.size:
+            raise ValueError(f"non-finite coefficient at power {bad[0]}: {f[bad[0]]}")
         return f
-    except (OSError, ValueError, TypeError, IndexError) as exc:
+    except (OSError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise UsageError(f"malformed coefficient file {path!r}: {exc}") from exc
 
 
@@ -306,7 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def keep_freed_heap() -> None:
+    """Once per process, have glibc keep up to 64 MiB of freed heap (M_TRIM_THRESHOLD, -1)
+    and serve blocks under its own 32 MiB ceiling from it (M_MMAP_THRESHOLD, -3), so that
+    a ``member`` call does not fault its ~1 MB of temporaries in again.  Elsewhere a no-op."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform != "win32" else None
+    if mallopt is not None:
+        mallopt(-1, 64 << 20)
+        mallopt(-3, 32 << 20)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    keep_freed_heap()
     args = build_parser().parse_args(argv)
     # Looked up per call, so a rebound cmd_* is honoured by the cached parser.
     run = {"eval": cmd_eval, "member": cmd_member, "verify": cmd_verify}[args.command]

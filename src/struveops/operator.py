@@ -11,6 +11,8 @@ b held fixed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ParameterError
 from .series import PowerSeries, Result, gamma_n, hadamard, scaled
 from .specialfn import StruveParams, normalized_n, normalized_n_series
@@ -21,7 +23,7 @@ def phi_series(params: StruveParams, order: int) -> PowerSeries:
 
     The kernel is ``z`` times the normalized series, ``phi(z) = z N(z)``.
     """
-    return PowerSeries((0,) + normalized_n_series(params, order).coeffs[:-1])
+    return PowerSeries(np.append(0, normalized_n_series(params, order).coeffs[:-1]))
 
 
 def phi(params: StruveParams, z: complex, tol: float = 1e-13) -> Result:
@@ -45,11 +47,6 @@ def recurrence_residual(params: StruveParams, f: PowerSeries) -> float:
     a machine-precision maximum certifies the recurrence independently of the
     truncation order.
     """
-    s_lo = apply_s(params, f)
-    s_hi = apply_s(params.shifted(), f)
-    k = params.k
-    worst = 0.0
-    for n in range(f.order + 1):
-        r = n * s_hi[n] - k * s_lo[n] + (k - 1.0) * s_hi[n]
-        worst = max(worst, abs(r))
-    return worst
+    s_lo, s_hi = (apply_s(sp, f).coeffs for sp in (params, params.shifted()))
+    k, n = params.k, np.arange(f.order + 1)
+    return float(np.abs(n * s_hi - k * s_lo + (k - 1.0) * s_hi).max())

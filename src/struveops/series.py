@@ -1,6 +1,6 @@
 """Truncated complex power series: the substrate everything else acts on.
 
-A series is a finite coefficient tuple ``c0..cN`` read as ``sum c_n z^n`` on
+A series is a read-only complex array ``c0..cN`` read as ``sum c_n z^n`` on
 the unit disk.  Combining two series of different lengths truncates to the
 shorter order; nothing is ever zero-extended, so any coefficient you read back
 was actually computed.  All values are immutable and all operations are pure.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,52 +35,59 @@ Ratios = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 Stop = tuple[int, complex, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSeries:
-    """Coefficients ``c0..cN`` of ``sum c_n z^n``, truncated at order ``N``.
-
-    A series representing a normalized analytic function (the class of
-    ``z + a2 z^2 + ...`` maps of the unit disk) additionally has ``c0 = 0``
-    and ``c1 = 1``; that is checked by :meth:`is_normalized`, not forced here,
-    because derived series (derivatives, residuals) legitimately break it.
+    """Coefficients ``c0..cN`` of ``sum c_n z^n``, truncated at order ``N``, as a read-only
+    1-D complex array copied from what is given.  A series representing a normalized
+    analytic function (``z + a2 z^2 + ...`` on the unit disk) also has ``c0 = 0`` and
+    ``c1 = 1``; :meth:`is_normalized` checks that, not this class, because derived
+    series (derivatives, residuals) legitimately break it.
     """
 
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if not coeffs:
-            raise ParameterError("a power series needs at least one coefficient")
+        try:
+            coeffs = np.asarray(self.coeffs)
+        except ValueError:  # a ragged nesting, rejected below as an object array
+            coeffs = np.asarray(None)
+        if coeffs.dtype.kind not in "biufc" or coeffs.ndim != 1 or not coeffs.size:
+            raise ParameterError("a power series needs a non-empty 1-D array of numbers")
+        coeffs = coeffs.astype(complex)
+        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.size - 1
 
     def __getitem__(self, n: int) -> complex:
         return self.coeffs[n]
 
     def is_normalized(self) -> bool:
         """True when the series is ``z + a2 z^2 + ...`` to within 1e-12."""
-        if self.order < 1:
-            return False
-        return abs(self.coeffs[0]) <= 1e-12 and abs(self.coeffs[1] - 1.0) <= 1e-12
+        c = self.coeffs
+        return self.order >= 1 and bool(abs(c[0]) <= 1e-12 and abs(c[1] - 1.0) <= 1e-12)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "PowerSeries":
-        """From JSON: one ``[re, im]`` pair per power of z, index = power."""
-        return cls(tuple(complex(p[0], p[1]) for p in pairs))
+    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "PowerSeries":
+        """From JSON: one ``[re, im]`` pair of ints or floats (not bools) per power of
+        z, index = power, laid out as the complex array with no arithmetic."""
+        for n, row in enumerate(pairs):
+            if not (type(row) is list and len(row) == 2 and {int, float}.issuperset(map(type, row))):
+                raise ParameterError(f"row {n} is not two numbers [re, im]: {row!r}")
+        return cls(np.array(pairs, dtype=float).reshape(-1, 2).view(complex).ravel())
 
     @classmethod
     def identity(cls, order: int) -> "PowerSeries":
         """The function ``z`` padded with zeros up to ``order``."""
-        return cls((0j, 1 + 0j) + (0j,) * (order - 1))
+        return cls(np.arange(order + 1) == 1)
 
 
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Termwise coefficient product, truncated to the shorter order."""
-    n = min(f.order, g.order)
-    return PowerSeries(tuple(f.coeffs[i] * g.coeffs[i] for i in range(n + 1)))
+    n = min(f.order, g.order) + 1
+    return PowerSeries(f.coeffs[:n] * g.coeffs[:n])
 
 
 def gamma_n(n: int) -> float:

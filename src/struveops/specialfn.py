@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ParameterError, PoleError
 from .series import PowerSeries, Result, gamma_n, ratio_sum, scaled
 
@@ -129,10 +131,10 @@ class StruveParams:
         return StruveParams(self.p + 1, self.b, self.c)
 
 
-def _growth(k: complex, n: int) -> complex:
-    """``(n + 1/2)(k + n - 1)``: ``(3/2)_n (k)_n`` over its value at ``n - 1``.
-    The integer ``n - 1`` is formed first, so ``k`` is kept: it is 0 only at a
-    pole of ``G(k)``, never for ``k`` within rounding of one."""
+def _growth(k: complex, n: int | np.ndarray) -> complex | np.ndarray:
+    """``(n + 1/2)(k + n - 1)``, ``n`` an int or an integer array: ``(3/2)_n (k)_n`` over
+    its value at ``n - 1``.  The integer ``n - 1`` is formed first, so ``k`` is kept:
+    it is 0 only at a pole of ``G(k)``, never for ``k`` within rounding of one."""
     return (n + 0.5) * (k + (n - 1))
 
 
@@ -192,12 +194,8 @@ def normalized_n_series(params: StruveParams, order: int = 64) -> PowerSeries:
     """
     if order < 1:
         raise ParameterError("order must be >= 1")
-    coeffs = [1 + 0j]
-    a = 1 + 0j
-    for n in range(1, order + 1):
-        a *= (-params.c / 4.0) / _growth(params.k, n)
-        coeffs.append(a)
-    return PowerSeries(tuple(coeffs))
+    ratios = (-params.c / 4.0) / _growth(params.k, np.arange(1, order + 1))
+    return PowerSeries(np.cumprod(np.append(1, ratios)))
 
 
 def ode_residual_n(params: StruveParams, order: int = 32) -> float:
@@ -213,12 +211,8 @@ def ode_residual_n(params: StruveParams, order: int = 32) -> float:
         raise ParameterError("order must be >= 2")
     a = normalized_n_series(params, order).coeffs
     two_p_b = 2.0 * params.p + params.b
-    worst = 0.0
-    for n in range(order):
-        r = (4.0 * n * (n - 1) + 2.0 * (two_p_b + 3.0) * n + two_p_b) * a[n]
-        if n >= 1:
-            r += params.c * a[n - 1]
-        else:
-            r -= two_p_b
-        worst = max(worst, abs(r))
-    return worst
+    n = np.arange(order)
+    r = (4.0 * n * (n - 1) + 2.0 * (two_p_b + 3.0) * n + two_p_b) * a[:-1]
+    r[1:] += params.c * a[:-2]
+    r[0] -= two_p_b
+    return float(np.abs(r).max())

@@ -212,7 +212,7 @@ class TestNormalizedSeries:
 
     def test_c_zero_collapses(self):
         ns = normalized_n_series(StruveParams(0.5, 1.0, 0.0), 8)
-        assert ns.coeffs == (1,) + (0,) * 8
+        assert ns.coeffs.tolist() == [1] + [0] * 8
 
     def test_first_coefficient(self):
         ns = normalized_n_series(StruveParams(0.5, 1.0, 1.0), 4)
@@ -283,3 +283,66 @@ class TestOdeResidual:
     def test_order_precondition(self):
         with pytest.raises(ParameterError):
             ode_residual_n(StruveParams(0.5, 1.0, 1.0), 1)
+
+
+def seeded_params(rng):
+    """Struve parameters drawn from [-2, 2]^2 each, k kept off its poles."""
+    while True:
+        p, b, c = (complex(*rng.uniform(-2, 2, 2)) for _ in range(3))
+        k = p + (b + 2) / 2
+        if abs(k.imag) < 0.15 and k.real < 0.5 and abs(k - round(min(k.real, 0))) < 0.15:
+            continue
+        try:
+            return StruveParams(p, b, c)
+        except ParameterError:
+            continue
+
+
+def scalar_normalized_n_series(params, order):
+    """The loop ``normalized_n_series`` was: running products of the ratios
+    ``(-c/4) / ((n + 1/2)(k + n - 1))`` in Python complex arithmetic."""
+    coeffs = [1 + 0j]
+    for n in range(1, order + 1):
+        coeffs.append(coeffs[-1] * ((-params.c / 4.0) / ((n + 0.5) * (params.k + (n - 1)))))
+    return coeffs
+
+
+def scalar_ode_residual_n(params, order):
+    """The loop ``ode_residual_n`` was, over the library's coefficients; also
+    returns the largest sum of the moduli of a residual's terms."""
+    a = normalized_n_series(params, order).coeffs.tolist()
+    two_p_b = 2.0 * params.p + params.b
+    worst = scale = 0.0
+    for n in range(order):
+        r = (4.0 * n * (n - 1) + 2.0 * (two_p_b + 3.0) * n + two_p_b) * a[n]
+        term = params.c * a[n - 1] if n else -two_p_b
+        worst = max(worst, abs(r + term))
+        scale = max(scale, abs(r) + abs(term))
+    return worst, scale
+
+
+EPS = np.finfo(float).eps
+
+
+class TestAgainstTheScalarLoops:
+    """numpy rounds complex * and / as it does, not as Python does, so the
+    array forms agree with the loops they replaced to a few ulps, not bit for bit."""
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 32, 64])
+    def test_normalized_series(self, order):
+        # Each ratio and product adds about an ulp: coefficient n agrees to 4n ulps.
+        rng = np.random.default_rng([43, order])
+        n = np.arange(order + 1)
+        for _ in range(50):
+            sp = seeded_params(rng)
+            got = normalized_n_series(sp, order).coeffs
+            ref = np.array(scalar_normalized_n_series(sp, order))
+            assert (np.abs(got - ref) <= 4 * n * EPS * np.abs(ref)).all()
+
+    @pytest.mark.parametrize("order", [2, 7, 32, 64])  # order 1 is rejected
+    def test_ode_residual(self, order):
+        rng = np.random.default_rng([47, order])
+        for _ in range(50):
+            sp = seeded_params(rng)
+            worst, scale = scalar_ode_residual_n(sp, order)
+            assert abs(ode_residual_n(sp, order) - worst) <= 4 * EPS * scale
