@@ -57,11 +57,18 @@ def _settled_integral(beta: float, integrand: Callable, size: int, nodes: int,
     each settled on the ladder of Gauss-Jacobi rules up to ``nodes`` by
     :func:`quadrature.settle`, as its arrays ``(value, error, nodes used)``.
 
-    A point that reaches ``nodes`` with an error beyond 1e-8 of its value
-    scale is reported as quadrature non-convergence of the integral
-    ``label(i)``, for the first such point ``i`` (formatted only then).
+    The factor is ``(beta - 1) + 1``, the reciprocal of the moment the rules
+    for the exponent ``beta - 1`` sum to (``beta`` is 1e-7 off at 1e-10);
+    below 2^-53 that exponent rounds to -1, and no rule exists.  A point that
+    reaches ``nodes`` with an error beyond 1e-8 of its value scale is reported
+    as quadrature non-convergence of the integral ``label(i)``, for the first
+    such point ``i`` (formatted only then).
     """
-    value, error, used = settle(integrand, size, nodes, 0.0, beta - 1.0, beta)
+    exponent = beta - 1.0
+    if exponent == -1.0:
+        raise ConvergenceError(f"beta = {beta:g} is below 2^-53, where the Gauss-Jacobi "
+                               f"exponent beta - 1 rounds to -1")
+    value, error, used = settle(integrand, size, nodes, 0.0, exponent, exponent + 1.0)
     unsettled = np.flatnonzero(error > 1e-8 * np.maximum(1.0, abs(value)))
     if unsettled.size:
         i = unsettled[0]

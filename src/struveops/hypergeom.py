@@ -54,7 +54,7 @@ def f21_series(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
     Returns ``(value, est_error, terms)``.  Summation stops once
     |term| / (1 - |z|) drops below ``tol``, but not before n passes -Re a,
     -Re b and -Re c: the terms can dip below ``tol`` there and swell again.
-    Past ``series.SCALAR_TERMS`` terms the sum runs in numpy blocks, bit for bit.
+    Past ``series.SCALAR_TERMS`` terms the same ratio runs on numpy index arrays.
     """
     z = complex(z)
     r = abs(z)
@@ -62,38 +62,8 @@ def f21_series(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
         raise DomainError(f"2F1 series needs |z| < 1, got |z| = {r:g}")
     a, b, c = hp.a, hp.b, hp.c
     start = math.ceil(max(0.0, -a.real, -b.real, -c.real))
-
-    def ratios(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # The lambda below in Python's complex arithmetic, one operation at a
-        # time; an int or float operand has imaginary part 0.0, as in CPython
-        # 3.10-3.13 (a later CPython may keep a -0.0 imaginary part of a, b, c).
-        num = _product(a.real + n, a.imag + 0.0, b.real + n, b.imag + 0.0)
-        den = _product(c.real + n, c.imag + 0.0, n + 1.0, 0.0)
-        re, im, pole = _quotient(*num, *den)
-        return (*_product(re, im, z.real, z.imag), pole)
     return ratio_sum(1 + 0j, lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z, r, tol,
-                     start, ratios)
-
-
-def _product(ar, ai, br, bi):
-    """Python's complex product of ``ar + ai i`` and ``br + bi i``, on float arrays
-    (numpy's complex ``*`` can round differently)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quotient(ar, ai, br, bi):
-    """Python's complex quotient (Smith's method) on float arrays, and the mask
-    of zero denominators, where Python raises ZeroDivisionError."""
-    big = np.abs(br) >= np.abs(bi)
-    s = bi / br
-    d = br + bi * s
-    re, im = (ar + ai * s) / d, (ai - ar * s) / d
-    if not big.all():  # Python divides through by bi where |bi| > |br| or either is NaN
-        s = br / bi
-        d = br * s + bi
-        re = np.where(big, re, (ar * s + ai) / d)
-        im = np.where(big, im, (ai * s - ar) / d)
-    return re, im, (br == 0.0) & (bi == 0.0)
+                     start)
 
 
 def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> Result:

@@ -6,8 +6,8 @@ shorter order; nothing is ever zero-extended, so any coefficient you read back
 was actually computed.  All values are immutable and all operations are pure.
 
 ``ratio_sum`` is the one loop that sums an infinite series from its first term
-and term ratio, with a bound on its own error, and sums the tail of a long one
-in numpy blocks with the loop's bits; ``scaled`` applies a factor.
+and term ratio, with a bound on its own error, and sums a long one's tail in
+numpy blocks from that ratio over index arrays; ``scaled`` applies a factor.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ SCALAR_TERMS = 64
 BLOCK_TERMS = 4096
 #: ``(value, est_error, terms)``: what every series evaluator returns.
 Result = tuple[complex, float, int]
-#: Term ratios over a float array of indices: real parts, imaginary parts and
-#: the mask of zero denominators.
-Ratios = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: A term ratio at an ``int`` index or over an integer array of indices.
+Ratio = Callable[[int | np.ndarray], complex | np.ndarray]
 #: Where a sum stops: the index n, ``ratio(n)`` and ``|t_(n+1)|``.
 Stop = tuple[int, complex, float]
 
@@ -96,11 +95,10 @@ def gamma_n(n: int) -> float:
     return nu / (1.0 - nu)
 
 
-def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: float,
-              start: int = 0, ratios: Ratios | None = None) -> Result:
+def ratio_sum(first: complex, ratio: Ratio, rho: float, tol: float, start: int = 0) -> Result:
     """Sum ``t_0 = first``, ``t_(n+1) = t_n * ratio(n)`` up to the first ``t_N``
     with ``|t_N| / (1 - rho) < tol``, ``N > start`` and ``|ratio(N - 1)| < 1``;
-    ``rho < 1`` is the limit of ``|ratio(n)|``, and ``start`` an index past
+    ``0 <= rho < 1`` is the limit of ``|ratio(n)|``, and ``start`` an index past
     which ``|ratio(n)|`` no longer climbs above ``max(rho, |ratio(N - 1)|)``.
 
     Returns ``(sum, est_error, N + 1)``.  ``est_error`` is the rounding bound
@@ -112,26 +110,28 @@ def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: 
     ConvergenceError means MAX_TERMS terms did not reach ``tol``, or a
     nonzero bound not below ``|sum|``: no digit of the sum is right.
 
-    ``ratios``, if given, is ``ratio`` over a float array of indices in the
-    same floating-point operations.  The terms past the first SCALAR_TERMS are
-    then summed in numpy blocks, with the bits, the term count and the
-    exceptions of the loop that adds one term at a time.
+    ``ratio`` takes an ``int`` index, and past the first SCALAR_TERMS terms an
+    integer array of indices (a constant it returns is broadcast), whose terms
+    are summed in numpy blocks.  These round as numpy's complex ``*`` and ``/``,
+    and stop at the term and raise the exception of the one-at-a-time loop.
     """
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    if not 0.0 <= rho < 1.0:  # NaN included
+        raise ParameterError(f"rho must lie in [0, 1), got {rho}")
     gap = 1.0 - rho
     term = complex(first)
     state = [term, term, abs(term)]  # the last term, the sum and sum |t_n| so far
-    n = SCALAR_TERMS if ratios is not None and gap else MAX_TERMS
+    n = SCALAR_TERMS
     stop = _one_by_one(ratio, 0, n, state, gap, tol, start)
     block = 0
     while stop is None and n < MAX_TERMS:
         block = 2 * block if block else _first_block(abs(state[0]), rho, gap, tol)
         m = min(block, BLOCK_TERMS, MAX_TERMS - n)
         # A numpy block costs about as much as 100 terms of the loop, so a
-        # short one runs in the loop; a block that meets a pole or a value
-        # that is not finite is summed again by the loop, so that it raises.
-        stop = _in_block(ratios, n, m, state, gap, tol, start) if m > 2 * SCALAR_TERMS else False
+        # short one runs in the loop; a block that meets a value that is not
+        # finite (a pole's among them) is summed again by the loop, to raise.
+        stop = _in_block(ratio, n, m, state, gap, tol, start) if m > 2 * SCALAR_TERMS else False
         if stop is False:
             stop = _one_by_one(ratio, n, n + m, state, gap, tol, start)
         n += m
@@ -147,8 +147,8 @@ def ratio_sum(first: complex, ratio: Callable[[int], complex], rho: float, tol: 
     return total, est, n + 2
 
 
-def _one_by_one(ratio: Callable[[int], complex], n0: int, n1: int, state: list,
-                gap: float, tol: float, start: int) -> Stop | None:
+def _one_by_one(ratio: Ratio, n0: int, n1: int, state: list, gap: float, tol: float,
+                start: int) -> Stop | None:
     """``ratio_sum``'s loop over ``n0 <= n < n1``: updates ``state`` and
     returns where the sum stops, or None."""
     term, total, size = state
@@ -184,35 +184,32 @@ def _first_block(mag: float, rho: float, gap: float, tol: float) -> int:
     return guess + guess // 4 + 16
 
 
-def _in_block(ratios: Ratios, n0: int, m: int, state: list, gap: float, tol: float,
+def _in_block(ratio: Ratio, n0: int, m: int, state: list, gap: float, tol: float,
               start: int) -> Stop | None | bool:
-    """``_one_by_one(ratio, n0, n0 + m, ...)`` bit for bit, in numpy.
+    """``_one_by_one(ratio, n0, n0 + m, ...)`` in numpy, over the index array.
 
-    Complex ``multiply.accumulate`` and ``add.accumulate`` round as Python's
-    ``*=`` and ``+=`` do, term after term, and ``hypot`` as ``abs``.  Returns
-    False, with ``state`` untouched, when before the stop a denominator is
-    zero or a ratio or ``sum |t_n|`` is not finite.
+    Complex ``multiply.accumulate`` and ``add.accumulate`` take the terms in
+    the loop's order, and ``hypot`` rounds as ``abs``.  Returns False, with
+    ``state`` untouched, when before the stop a ratio or ``sum |t_n|`` is not
+    finite.
     """
-    n = np.arange(n0, n0 + m, dtype=float)
+    n = np.arange(n0, n0 + m)
     with np.errstate(all="ignore"):
-        rr, ri, pole = ratios(n)
-        terms = np.empty(m + 1, complex)
-        terms[0] = state[0]
-        terms.real[1:], terms.imag[1:] = rr, ri
-        np.multiply.accumulate(terms, out=terms)
+        r = np.broadcast_to(ratio(n), n.shape)
+        terms = np.multiply.accumulate(np.append(state[0], r))
         mag = np.hypot(terms.real, terms.imag)
         mag[0] = state[2]
         size = np.add.accumulate(mag)  # mag[1:] stays |t_n|
-        rmag = np.hypot(rr, ri)
+        rmag = np.hypot(r.real, r.imag)
         stops = (mag[1:] / gap < tol) & (n >= start) & (rmag < 1.0)
         hits = np.flatnonzero(stops)
         i = int(hits[0]) if hits.size else m - 1
-        if not (size[i + 1] < math.inf and rmag[:i + 1].max() < math.inf) or pole[:i + 1].any():
+        if not (size[i + 1] < math.inf and rmag[:i + 1].max() < math.inf):
             return False
         terms[0] = state[1]
         total = np.add.accumulate(terms[:i + 2])[-1]
     state[:] = complex(terms[i + 1]), complex(total), float(size[i + 1])
-    return (n0 + i, complex(rr[i], ri[i]), float(mag[i + 1])) if hits.size else None
+    return (n0 + i, complex(r[i]), float(mag[i + 1])) if hits.size else None
 
 
 def scaled(factor: complex, rtol: float, result: Result) -> Result:

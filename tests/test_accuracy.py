@@ -8,11 +8,13 @@ the three 2F1 routes (the outer one with 1 - |z| down to 1e-3, up to about
 generalized family, the normalized kernel N and phi = z N inside the disk,
 and h-bound with 1 - |z| down to 1e-3 (including the half-plane target);
 and the Euler integral over the draws of the ``hypergeom`` verify suite.
-The dominant q is held to its error at 40 digits near its pole at z = -1/B,
-h at B = 0 and at B within 1e-8 of it, and gamma and the generalized Struve
-function next to a pole of gamma.
+At 40 digits: 2F1 with complex parameters in the numpy blocks of its long
+sums; the dominant q near its pole at z = -1/B and, with h(-1), at beta down
+to 1e-13; h at B = 0 and at B within 1e-8 of it; and gamma and the
+generalized Struve function next to a pole of gamma.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -31,12 +33,14 @@ from struveops import (
     f21_euler,
     gamma,
     generalized_m,
+    lower_bound_h_minus1,
     normalized_n,
     phi,
     sharp_bound_h,
     struve_h,
     struve_l,
 )
+from struveops.series import SCALAR_TERMS
 from struveops.specialfn import GAMMA_RTOL
 
 CASES = 300
@@ -201,6 +205,29 @@ def test_f21_euler_complex_exponents_within_reported_error():
         f21_euler(HypergeomParams(1, complex(0.1, 1.0), 0.3), 0.6)
 
 
+def test_f21_complex_parameters_in_blocks_within_reported_error():
+    # The outer route's draws above are real.  Here a, b and c are complex,
+    # and every sum runs past SCALAR_TERMS into the numpy blocks, which round
+    # as numpy's complex arithmetic does.
+    rng = np.random.default_rng(1502)
+    checked = 0
+    with mpmath.workdps(40):
+        for i in range(60):
+            a, b, c = (complex(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0))
+                       for lo, hi in ((-1.5, 2.5), (-1.5, 2.5), (0.3, 3.5)))
+            r = 1.0 - 10.0 ** -rng.uniform(2.0, 3.0)
+            z = r * cmath.exp(1j * math.acos(0.5 / r) * (2.0 * rng.uniform() - 1.0))
+            try:
+                value, est, terms = f21(HypergeomParams(a, b, c), z)
+            except NumericsError:
+                continue
+            assert terms > 2 * SCALAR_TERMS
+            error = abs(value - complex(mpmath.hyp2f1(a, b, c, z)))
+            assert error <= est, f"case {i}: error {error:.3g} > est_error {est:.3g}"
+            checked += 1
+    assert checked >= 50
+
+
 def test_q_near_the_unit_circle_within_reported_error():
     # B = -1 puts the pole of phi on the unit circle.  The rules of
     # scipy.special.roots_jacobi left q up to 4.2e-12 off here, beyond the gap
@@ -219,6 +246,23 @@ def test_q_near_the_unit_circle_within_reported_error():
             exact = -A + (1 + A) * mpmath.hyp2f1(1, beta, beta + 1, mpmath.mpmathify(z))
             error = abs(q - complex(exact))
             assert error <= est, f"case {i}: error {error:.3g} > est_error {est:.3g}"
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-10, 1e-13])
+def test_q_and_h_minus1_at_small_beta_within_reported_error(beta):
+    # The rules for the exponent beta - 1 have weights that sum to
+    # 1/((beta - 1) + 1).  With beta as their factor, q and h(-1) were off by
+    # the relative (beta - 1 + 1)/beta - 1: 8.3e-8 at beta = 1e-10, reporting
+    # 3.8e-15.  h(-1) reports no error; its 24-node rule's rounding bound is
+    # about 6e-15.
+    with mpmath.workdps(40):
+        for A, B, z in ((1.0, 0.0, 0.5), (0.5, -1.0, complex(0.3, 0.8)), (0.9, 0.4, -0.95)):
+            dp = DominantParams(beta, MobiusTarget(A, B))
+            q, est, _ = best_dominant_q(dp, z)
+            error = float(abs(q - _h_reference(A, B, beta, z)))
+            assert error <= est, (A, B, z, error, est)
+            error = float(abs(lower_bound_h_minus1(dp) - _h_reference(A, B, beta, -1.0).real))
+            assert error <= 1e-14, (A, B, error)
 
 
 @pytest.mark.parametrize("B", [0.0, 1e-8, -1e-8, 1e-12, -1e-12])

@@ -215,7 +215,9 @@ class TestBestDominantQGap:
             below = rungs[rungs.index(used) - 1]
             coarse, _, _ = best_dominant_q(dp, z, below)
             t, w = jacobi_rule_01(used, 0.0, dp.beta - 1.0)
-            rounding = gamma_n(used) * dp.beta * np.vecdot(w, np.abs(dp.target.phi(z * t)))
+            # The factor is (beta - 1) + 1, the moment the weights sum to.
+            factor = (dp.beta - 1.0) + 1.0
+            rounding = gamma_n(used) * factor * np.vecdot(w, np.abs(dp.target.phi(z * t)))
             assert repr(gap) == repr(abs(q - coarse) + float(rounding))
             assert used == nodes or abs(q - coarse) <= SETTLE_RTOL * max(1.0, abs(q))
             for n in rungs[1:rungs.index(used)]:

@@ -264,6 +264,15 @@ class TestEvalGolden:
             assert (code, err, data["value"][1]) == (0, "", 0.0)
             assert abs(data["value"][0] - 1.5) <= data["est_error"]
 
+    @pytest.mark.parametrize("beta", ["1e-17", "1e-300"])
+    def test_q_below_beta_2_to_minus_53_is_convergence_error(self, capsys, beta):
+        # beta - 1 rounds to -1 there, and no Gauss-Jacobi rule exists; this
+        # was a usage error (exit 2) that named the exponent, not beta.
+        code, out, err = run_cli(capsys, "eval", "q", "--A", "1", "--B", "0", "--beta", beta,
+                                 "--z", "0.5")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error [convergence]: beta = {float(beta):g} is below 2^-53")
+
 
 class TestKernelErrors:
     """Every series target prints the kernel's own bound, or exits 3."""
@@ -338,7 +347,7 @@ def test_documented_example_runs(capsys, tmp_path, argv):
 class TestRejectedInput:
     """Bad flag values exit 2 (usage) instead of crashing or printing NaN."""
 
-    @pytest.mark.parametrize("extra", [("--nodes", "0"), ("--nodes", "-4"), ("--beta", "1e-300"),
+    @pytest.mark.parametrize("extra", [("--nodes", "0"), ("--nodes", "-4"), ("--beta", "0"),
                                        ("--nodes", "1")])
     def test_invalid_quadrature_rule(self, capsys, extra):
         argv = {"--A": "1", "--B": "0", "--beta": "1", "--z": "0.5"}

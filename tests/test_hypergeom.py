@@ -229,9 +229,12 @@ def _outcome(hp, z, tol):
 
 
 def test_blocks_match_the_loop(monkeypatch):
-    # ratio_sum sums f21_series's terms past SCALAR_TERMS in numpy blocks; with
-    # SCALAR_TERMS at MAX_TERMS it adds them one at a time.  A cap of 5,000
-    # terms keeps the loop short, and is reached inside a block.
+    # ratio_sum sums f21_series's terms past SCALAR_TERMS in numpy blocks, from
+    # the same ratio over an index array; with SCALAR_TERMS at MAX_TERMS it
+    # adds them one at a time.  Blocks round as numpy's complex arithmetic, so
+    # they raise the same exception type, or stop at the same term with a value
+    # within the reported error.  A cap of 5,000 terms keeps the loop short,
+    # and is reached inside a block.
     monkeypatch.setattr(series, "MAX_TERMS", 5000)
     rng = np.random.default_rng(14)
     cases = [_block_case(rng) for _ in range(1000)]
@@ -239,7 +242,11 @@ def test_blocks_match_the_loop(monkeypatch):
     long_sums = sum(not isinstance(o[0], str) and o[2] > series.SCALAR_TERMS for o in blocks)
     monkeypatch.setattr(series, "SCALAR_TERMS", series.MAX_TERMS)
     for case, block in zip(cases, blocks):
-        assert repr(block) == repr(_outcome(*case)), case  # repr tells -0.0 from 0.0
+        loop = _outcome(*case)
+        if isinstance(loop[0], str):
+            assert block[0] == loop[0], (case, block, loop)
+        else:
+            assert block[2] == loop[2] and abs(block[0] - loop[0]) <= loop[1], (case, block, loop)
     errors = [o for o in blocks if isinstance(o[0], str)]
     assert long_sums >= 200
     assert sum(kind == "DomainError" for kind, _ in errors) >= 3

@@ -67,12 +67,14 @@ def test_invalid_rules_are_parameter_errors(n, alpha, beta):
 
 
 def test_every_quadrature_caller_gets_the_check():
-    tiny = DominantParams(1e-300, MobiusTarget(1.0, 0.0))  # beta - 1 rounds to -1
+    # beta - 1 rounds to -1, so no rule exists for a valid beta: q and h(-1)
+    # name beta in a ConvergenceError before they ask for one.
+    tiny = DominantParams(1e-300, MobiusTarget(1.0, 0.0))
     with pytest.raises(ParameterError):
         best_dominant_q(DominantParams(1.0, MobiusTarget(1.0, 0.0)), 0.5, nodes=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConvergenceError, match="beta = 1e-300 is below 2"):
         best_dominant_q(tiny, 0.5)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConvergenceError, match="beta = 1e-300 is below 2"):
         lower_bound_h_minus1(tiny)
     with pytest.raises(ParameterError):
         f21_euler(HypergeomParams(1.0, 1e-300, 2.0), 0.5)

@@ -16,6 +16,7 @@ from struveops import (
     hadamard,
     ratio_sum,
 )
+from struveops import series
 from struveops.series import MAX_TERMS
 
 finite_complex = st.complex_numbers(
@@ -204,43 +205,53 @@ class TestRatioSum:
         with pytest.raises(ParameterError, match="tol must be > 0"):
             ratio_sum(1.0, lambda n: 0.5, 0.5, tol)
 
+    @pytest.mark.parametrize("rho", [1.5, 1.0, -0.5, math.nan, math.inf])
+    def test_rho_must_lie_in_the_unit_interval(self, rho):
+        # rho = 1.5 once returned 1.5 for a sum of 2, with est_error -1.5; rho = 1
+        # raised PoleError from the tail bound, and NaN ran MAX_TERMS terms.
+        with pytest.raises(ParameterError, match=r"rho must lie in \[0, 1\)"):
+            ratio_sum(1.0, lambda n: 0.5, rho, 1e-13)
 
-def _constant(r):
-    """A constant term ratio, one at a time and over an array of indices."""
-    return lambda n: r, lambda n: (np.full_like(n, r), np.zeros_like(n), np.zeros(n.shape, bool))
 
-
-#: ``(first, ratio, ratios, rho, start)`` of sums that reach the numpy blocks;
-#: the events at n = 1000 fall inside one.
+#: ``(first, ratio, rho, start)`` of sums that reach the numpy blocks, each
+#: ratio written once for an index and an index array; the events at n = 1000
+#: fall inside one.
 BLOCK_CASES = {
-    "long sum": (1.0, *_constant(0.999), 0.999, 0),
-    "cap": (1.0, *_constant(1.0 - 1e-12), 1.0 - 1e-12, 0),
-    # The mask, not the value, marks the pole.
-    "pole": (1.0, lambda n: 0.5 / (1000.0 - n),
-             lambda n: (np.divide(0.5, 1000.0 - n, out=np.zeros_like(n), where=n != 1000.0),
-                        np.zeros_like(n), n == 1000.0), 0.5, 2000),
-    "overflow": (1.0, *_constant(2.0), 0.5, 0),
+    "long sum": (1.0, lambda n: 0.999, 0.999, 0),  # a constant ratio is broadcast
+    "cap": (1.0, lambda n: 1.0 - 1e-12, 1.0 - 1e-12, 0),
+    # The zero denominator is a ZeroDivisionError in the loop and inf in a block.
+    "pole": (1.0, lambda n: 0.5 / (1000.0 - n), 0.5, 2000),
+    "overflow": (1.0, lambda n: 2.0, 0.5, 0),
     # Both parts of the term 1.5e308 (1 + i) are finite, but not its modulus.
-    "modulus overflow": (complex(1.5e8, 1.5e8), lambda n: 1.0 if n < 1000 else 1e100,
-                         lambda n: (np.where(n < 1000, 1.0, 1e100), np.zeros_like(n),
-                                    np.zeros(n.shape, bool)), 0.5, 0),
+    "modulus overflow": (complex(1.5e8, 1.5e8), lambda n: 1.0 + 1e100 * (n >= 1000), 0.5, 0),
     # The term is 0 from n = 2 on; abs() of the ratio at n = 1000 overflows.
-    "ratio overflow": (1.0, lambda n: 1e-200 if n < 1000 else complex(1.5e308, 1.5e308),
-                       lambda n: (np.where(n < 1000, 1e-200, 1.5e308),
-                                  np.where(n < 1000, 0.0, 1.5e308), np.zeros(n.shape, bool)),
+    "ratio overflow": (1.0, lambda n: 1e-200 + complex(1.5e308, 1.5e308) * (n >= 1000),
                        0.5, 1000),
+    # (1 - z)^(-5/2) i near the unit circle.
+    "complex ratio": (1j, lambda n: complex(0.6, 0.79) * (n + 2.5) / (n + 1.0),
+                      abs(complex(0.6, 0.79)), 0),
 }
 
 
-@pytest.mark.parametrize("case", BLOCK_CASES)
-def test_blocks_match_the_loop(case):
-    # Past SCALAR_TERMS, with ``ratios`` the terms are summed in numpy blocks:
-    # the same bits, term count and exception as one term at a time.
-    first, ratio, ratios, rho, start = BLOCK_CASES[case]
+def _block_outcome(first, ratio, rho, start):
+    try:
+        return ratio_sum(first, ratio, rho, 1e-13, start)
+    except NumericsError as exc:
+        return type(exc).__name__, str(exc)
 
-    def outcome(*blocks):
-        try:
-            return repr(ratio_sum(first, ratio, rho, 1e-13, start, *blocks))
-        except NumericsError as exc:
-            return f"{type(exc).__name__}: {exc}"
-    assert outcome(ratios) == outcome()
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocks_match_the_loop(case, monkeypatch):
+    # Past SCALAR_TERMS the terms are summed in numpy blocks, which round as
+    # numpy's complex arithmetic does; with SCALAR_TERMS at MAX_TERMS the loop
+    # adds them one at a time.  Both raise the same exception, or stop at the
+    # same term with values within the reported error.
+    blocks = _block_outcome(*BLOCK_CASES[case])
+    scalar_terms = series.SCALAR_TERMS
+    monkeypatch.setattr(series, "SCALAR_TERMS", MAX_TERMS)
+    loop = _block_outcome(*BLOCK_CASES[case])
+    if isinstance(loop[0], str):
+        assert blocks == loop
+    else:
+        assert blocks[2] == loop[2] > scalar_terms
+        assert abs(blocks[0] - loop[0]) <= min(blocks[1], loop[1])
