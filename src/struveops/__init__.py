@@ -42,6 +42,7 @@ from .hypergeom import (
     HypergeomParams,
     f21,
     f21_euler,
+    f21_lerch,
     f21_pfaff,
     f21_series,
 )
@@ -58,6 +59,7 @@ from .series import (
 )
 from .specialfn import (
     StruveParams,
+    digamma,
     gamma,
     generalized_m,
     normalized_n,
@@ -86,8 +88,10 @@ __all__ = [
     "Verdict",
     "apply_s",
     "best_dominant_q",
+    "digamma",
     "f21",
     "f21_euler",
+    "f21_lerch",
     "f21_pfaff",
     "f21_series",
     "gamma",

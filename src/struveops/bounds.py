@@ -11,9 +11,11 @@ endpoint singularity.  Since phi(w) - 1 = (A-B) w / (1+Bw), its closed form is
     h(z) = 1 + (A-B) z beta/(beta+1) 2F1(1, beta+1; beta+2; -Bz),
 
 written once, in ``_closed_form``: B = 0 is the argument 0, and no digit is
-lost to a division by B.  The 2F1 dispatcher evaluates it on the closed disk
-(the Pfaff route covers -Bz near -1).  ``sharp_bound_h`` is h inside the disk,
-and the modulus and real bound pairs are the real parts of h at -r and +r.
+lost to a division by B.  ``hypergeom.f21_lerch`` evaluates its 2F1: the
+series inside the disk, Pfaff at -Bz near -1, and the expansion in Log(-Bz)
+where -Bz is near the rest of the unit circle, out to |z| = 1 - 1e-8 and to
+-Br -> 1 in the bound pairs.  ``sharp_bound_h`` is h inside the disk, and the
+modulus and real bound pairs are the real parts of h at -r and +r.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .classes import MobiusTarget, Verdict
 from .errors import ConvergenceError, DomainError, ParameterError
-from .hypergeom import HypergeomParams, f21
+from .hypergeom import f21_lerch
 from .quadrature import settle
 from .series import Result, gamma_n, scaled
 
@@ -107,14 +109,36 @@ def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 12
     return q.reshape(z.shape), error.reshape(z.shape), used.reshape(z.shape)
 
 
+def _product_error(c: float, w: float) -> float:
+    """``c w - fl(c w)``, exact for products within the normal range: Dekker's
+    product, with each factor split into halves of 26 bits by Veltkamp's
+    ``2^27 + 1`` (Numer. Math. 18, 1971)."""
+    product = c * w
+    c_hi = 134217729.0 * c
+    c_hi -= c_hi - c
+    w_hi = 134217729.0 * w
+    w_hi -= w_hi - w
+    c_lo, w_lo = c - c_hi, w - w_hi
+    return ((c_hi * w_hi - product) + c_hi * w_lo + c_lo * w_hi) + c_lo * w_lo
+
+
 def _closed_form(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
     """``h(z)`` of the module docstring as ``(value, est_error, terms)``: the
-    2F1 bound scaled by its prefactor, plus the rounding of the prefactor, of
-    its product with 2F1 and of the sum with 1."""
+    2F1 bound, plus what the rounding of its argument -Bz moves it by, scaled
+    by its prefactor, plus the rounding of the prefactor, of its product with
+    2F1 and of the sum with 1."""
     A, B, beta = dp.target.A, dp.target.B, dp.beta
+    a, x = beta + 1.0, -B * z
+    f, est, terms = f21_lerch(beta, x, tol)
+    # F is taken at x = -Bz as rounded.  The rounding dx, which is 0 at B = -1,
+    # moves F by about |F'(x) dx| = a |1/(1 - x) - F| |dx / x|, since
+    # x F'(x) = a (1/(1 - x) - F): near x = 1 this is F's conditioning.  It is
+    # counted twice, for the change of F' between x and x + dx.
+    dx = abs(complex(_product_error(-B, z.real), _product_error(-B, z.imag)))
+    if dx:
+        est += 2.0 * a * abs(1.0 / (1.0 - x) - f) * dx / abs(x)
     d = (A - B) * z * (beta / (beta + 1.0))
-    value, est, terms = scaled(d, gamma_n(9), f21(HypergeomParams(1.0, beta + 1.0, beta + 2.0),
-                                                 -B * z, tol))
+    value, est, terms = scaled(d, gamma_n(9), (f, est, terms))
     h = 1.0 + value
     return h, est + gamma_n(1) * abs(h), terms
 

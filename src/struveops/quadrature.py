@@ -45,17 +45,19 @@ def jacobi_rule_01(n: int, alpha: float, beta: float):
     # The recurrence r_k p_(k+1) = (t - a_k) p_k - r_(k-1) p_(k-1) of the
     # orthonormal polynomials of the Jacobi weight (1-x)^alpha (1+x)^beta on
     # [-1, 1], moved to t = (1+x)/2, and written as products of ratios so that
-    # no beta^2 overflows.  The general r_0^2 is 0/0 at alpha + beta = -1, so
-    # k = 1 takes its closed form.
+    # no beta^2 overflows.  The general r_0^2 divides by s - 1 = 1 + alpha + beta,
+    # which is 0 when 2 + alpha + beta rounds to 1, so k = 1 takes its closed
+    # form and the general one starts at k = 2.
     k = np.arange(1.0, n)
     s = 2.0 * k + alpha + beta
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (alpha + beta + 2.0)
     diag[1:] = (beta - alpha) / s * ((beta + alpha) / (s + 2.0))
-    off = k / s * ((k + alpha) / s) * ((k + beta) / (s + 1.0)) * ((k + alpha + beta) / (s - 1.0))
-    if n > 1:
-        off[0] = (1.0 + alpha) / (2.0 + alpha + beta) * ((1.0 + beta) / (2.0 + alpha + beta)) \
-            / (3.0 + alpha + beta)
+    off = np.empty(n - 1)
+    off[:1] = (1.0 + alpha) / (2.0 + alpha + beta) * ((1.0 + beta) / (2.0 + alpha + beta)) \
+        / (3.0 + alpha + beta)
+    k, s = k[1:], s[1:]
+    off[1:] = k / s * ((k + alpha) / s) * ((k + beta) / (s + 1.0)) * ((k + alpha + beta) / (s - 1.0))
     a = 0.5 * (1.0 + diag)
     # r_k^2 underflows to 0 above beta ~ 1e154, where every node is 1.0: the
     # smallest normal keeps the division below finite.

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -506,6 +507,32 @@ class TestModulusBounds:
         dp = dominant(0.5, -1.0, 1.0)
         assert math.isinf(modulus_bounds(dp, 1.0)[1])
         assert math.isfinite(modulus_bounds(dp, 0.9)[1])
+
+
+def h_reference(A, B, beta, z):
+    """Re h(z) at 40 digits, h = 1 + (A-B) z beta/(beta+1) 2F1(1, beta+1; beta+2; -Bz)."""
+    with mpmath.workdps(40):
+        A, B, beta, z = (mpmath.mpmathify(v) for v in (A, B, beta, z))
+        h = 1 + (A - B) * z * beta / (beta + 1) * mpmath.hyp2f1(1, beta + 1, beta + 2, -B * z)
+        return float(mpmath.re(h))
+
+
+class TestBoundsNearTheHalfPlaneLimit:
+    """The upper bound's 2F1 argument -Br tends to 1: the series summed
+    100,000 terms there and raised ConvergenceError from r = 0.9999 on."""
+
+    @pytest.mark.parametrize("r", [0.9999, 1.0 - 1e-6, 1.0 - 1e-8])
+    @pytest.mark.parametrize("A,beta", [(1.0, 1.0), (0.5, 0.3), (-0.2, 2.5)])
+    def test_modulus_bounds_at_b_minus_one(self, r, A, beta):
+        for value, z in zip(modulus_bounds(dominant(A, -1.0, beta), r), (-r, r)):
+            exact = h_reference(A, -1.0, beta, z)
+            assert math.isfinite(value) and abs(value - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("A,beta", [(1.0, 1.0), (0.5, 0.3), (-0.2, 2.5)])
+    def test_re_bounds_at_b_minus_0_999(self, A, beta):
+        for value, z in zip(re_bounds(dominant(A, -0.999, beta)), (-1.0, 1.0)):
+            exact = h_reference(A, -0.999, beta, z)
+            assert math.isfinite(value) and abs(value - exact) <= 1e-12 * abs(exact)
 
 
 class TestInclusionInterpolant:

@@ -231,6 +231,22 @@ class TestEvalGolden:
     def test_every_target_pinned(self):
         assert {argv[0] for argv, _ in EVAL_GOLDEN} == set(cli.EVAL_TARGETS)
 
+    # h next to the unit circle at the half-plane target, by the expansion in
+    # Log x: the series exited 3 here after 100,000 terms.  Both values are
+    # 40-digit mpmath rounded.
+    @pytest.mark.parametrize("z,expected", [
+        ("0.9999", '{"est_error": 8.310429753578299e-14, "input": {"A": 1.0, "B": -1.0, '
+                   '"beta": 1.0, "target": "h-bound", "z": "(0.9999+0j)"}, "terms_or_nodes": 3, '
+                   '"value": [17.42252299625221, 0.0]}'),
+        ("0.99999999", '{"est_error": 1.4949566809473368e-13, "input": {"A": 1.0, "B": -1.0, '
+                       '"beta": 1.0, "target": "h-bound", "z": "(0.99999999+0j)"}, '
+                       '"terms_or_nodes": 1, "value": [35.84136184626884, 0.0]}'),
+    ])
+    def test_h_bound_next_to_the_circle(self, capsys, z, expected):
+        code, out, err = run_cli(capsys, "eval", "h-bound", "--A", "1", "--B=-1", "--beta", "1",
+                                 "--z", z)
+        assert (code, out, err) == (0, expected + "\n", "")
+
     def test_struve_pole_is_numeric_error(self, capsys):
         code, out, err = run_cli(capsys, "eval", "struve-h", "--p", "-1.5", "--z", "1")
         assert (code, out) == (3, "")

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,10 +13,12 @@ from struveops import (
     ParameterError,
     f21,
     f21_euler,
+    f21_lerch,
     f21_pfaff,
     f21_series,
     series,
 )
+from struveops.hypergeom import LERCH_AT, LERCH_REACH
 
 
 def log_form(z):
@@ -110,6 +113,76 @@ class TestPfaff:
         # Re z >= 1/2 maps outside the convergence region: |0.9/(0.9-1)| = 9.
         with pytest.raises(DomainError):
             f21_pfaff(HypergeomParams(1, 1, 2.5), 0.9)
+
+
+def in_lerch_region(beta, x):
+    t = cmath.log(x)
+    return (abs(x) >= LERCH_REACH * max(1.0, abs(x - 1.0))
+            and abs(t) <= 2.0 and (beta + 1.0) * abs(t) <= LERCH_AT)
+
+
+class TestLerch:
+    """``f21_lerch``: F_a(x) = 2F1(1, a; a+1; x) at a = beta + 1, by the
+    expansion in Log x where the series and Pfaff are both slow, by ``f21``
+    elsewhere."""
+
+    def test_log_anchor_next_to_one(self):
+        # F_1(x) = -log(1 - x)/x; the series needs 10^8 terms here.
+        for x in (1.0 - 1e-8, 0.9999, complex(0.5, 0.866)):
+            value, est, terms = f21_lerch(0.0, x)
+            assert terms <= 30
+            assert abs(value - log_form(x)) <= est + 4e-16 * abs(value)
+
+    def test_within_its_error_of_mpmath_near_the_circle(self):
+        rng = np.random.default_rng(1953)
+        with mpmath.workdps(40):
+            for i in range(200):
+                beta = float(rng.choice([rng.uniform(0.0, 3.0), rng.uniform(-0.99, 0.0),
+                                         10.0, 1000.0]))
+                r = 1.0 - 10.0 ** -rng.uniform(1.0, 8.0)
+                x = r * cmath.exp(1j * rng.uniform(-1.2, 1.2))
+                try:
+                    value, est, _ = f21_lerch(beta, x)
+                except NumericsError:
+                    assert not in_lerch_region(beta, x)  # the series past 100,000 terms
+                    continue
+                error = abs(value - complex(mpmath.hyp2f1(1, beta + 1, beta + 2, x)))
+                assert error <= est, (i, beta, x, error, est)
+
+    def test_at_most_30_terms_for_a_up_to_4(self):
+        # a = beta + 1 for the dominant at beta <= 3, and |Log x| <= 1.1.
+        for beta in np.linspace(-0.95, 3.0, 40).tolist():
+            for r in (0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-8):
+                for theta in np.linspace(0.0, 1.1, 12).tolist():
+                    x = r * cmath.exp(1j * theta)
+                    if in_lerch_region(beta, x) and abs(cmath.log(x)) <= 1.1:
+                        assert f21_lerch(beta, x)[2] <= 30, (beta, x)
+
+    @pytest.mark.parametrize("beta,x", [(1.5, 0.5), (1.5, -0.95), (1.5, 0.85j), (1.5, 0.89),
+                                        (1.5, 0.95 * cmath.exp(1.5j)),
+                                        (10.0, 0.99 * cmath.exp(1.05j))])
+    def test_f21_outside_its_region(self, beta, x):
+        # With the parameters of the dominant's closed form, bit for bit.
+        assert not in_lerch_region(beta, x)
+        assert f21_lerch(beta, x) == f21(HypergeomParams(1.0, beta + 1.0, beta + 2.0), x)
+
+    def test_continues_past_the_disk_next_to_one(self):
+        x = 1.05 * cmath.exp(0.3j)
+        with pytest.raises(DomainError):
+            f21(HypergeomParams(1.0, 2.5, 3.5), x)
+        value, est, _ = f21_lerch(1.5, x)
+        with mpmath.workdps(40):
+            assert abs(value - complex(mpmath.hyp2f1(1, 2.5, 3.5, x))) <= est
+
+    @pytest.mark.parametrize("x", [1.0, 1.5, complex(1.0 + 1e-9)])
+    def test_cut_rejected(self, x):
+        with pytest.raises(DomainError):
+            f21_lerch(1.0, x)
+
+    @pytest.mark.parametrize("beta", [-1.0, -2.0, math.inf, math.nan])
+    def test_beta_rejected(self, beta):
+        with pytest.raises(ParameterError):
+            f21_lerch(beta, 0.99)
 
 
 def symmetry_gap(hp, z):

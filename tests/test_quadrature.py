@@ -113,6 +113,16 @@ def test_moment_below_the_normal_range_is_convergence_error(empty_cache, n):
     assert (t == 1.0).all() and abs(w.sum() - 1e-300) <= 1e-315
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 16, 32])
+def test_exponents_summing_to_minus_one_warn_nothing(empty_cache, n):
+    # At beta = 1e-16 - 1, 2 + alpha + beta rounds to 1: the general r_0^2
+    # divided by s - 1 = 0 there and printed a RuntimeWarning before its
+    # closed form replaced it.  eval q --beta 1e-16 builds these rules.
+    t, w = jacobi_rule_01(n, 0.0, 1e-16 - 1.0)
+    assert np.isfinite(t).all() and abs(w.sum() - 1.0 / (1e-16 - 1.0 + 1.0)) <= 1e-15 * w.sum()
+
+
 @pytest.mark.parametrize("nodes,rungs", [
     (128, [16, 32, 64, 128]), (192, [24, 48, 96, 192]), (255, [31, 63, 127, 255]),
     (32, [16, 32]), (31, [15, 31]), (8, [4, 8]), (2, [1, 2]),

@@ -10,6 +10,7 @@ from struveops import (
     ParameterError,
     PoleError,
     StruveParams,
+    digamma,
     gamma,
     generalized_m,
     normalized_n,
@@ -18,7 +19,7 @@ from struveops import (
     struve_h,
     struve_l,
 )
-from struveops.specialfn import cpow
+from struveops.specialfn import EULER_GAMMA, bernoulli_ratios, cpow
 
 
 def mp_struve_sum(p, z, sign, terms=200, dps=50):
@@ -92,6 +93,37 @@ class TestGamma:
             lhs = gamma(z + 1)
             rhs = z * gamma(z)
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+class TestDigamma:
+    # Next to 1 and 2 the recurrence subtracts sums of 1/(a + i) close to
+    # psi(a + m); next to its root 1.4616... psi itself cancels to 0.
+    SPECIAL = [1.0, 2.0, 1.0 - 1e-12, 1.0 + 1e-12, 2.0 - 1e-12, 2.0 + 1e-12,
+               1.4616321449683622, 10.0 - 1e-12, 10.0]
+
+    def test_within_its_error_of_mpmath(self):
+        with mpmath.workdps(40):
+            for a in [*np.geomspace(1e-3, 1e6, 400).tolist(), *self.SPECIAL]:
+                value, error = digamma(a)
+                assert abs(value - mpmath.digamma(a)) <= error, a
+                assert error <= 1e-13 * max(1.0, abs(value)), a
+
+    def test_euler_gamma(self):
+        assert digamma(1.0)[0] == pytest.approx(-EULER_GAMMA, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    def test_outside_the_positive_reals_rejected(self, a):
+        with pytest.raises(ParameterError):
+            digamma(a)
+
+
+def test_bernoulli_ratios_match_mpmath():
+    ratios = bernoulli_ratios(101)
+    assert not ratios.flags.writeable
+    with mpmath.workdps(40):
+        for j, ratio in enumerate(ratios.tolist()):
+            exact = mpmath.bernoulli(j) / mpmath.factorial(j)
+            assert abs(ratio - exact) <= 64 * 2.0**-53 * abs(exact), j
 
 
 class TestStruveH:
