@@ -11,7 +11,6 @@ every certificate on seeded grids.
 from .bounds import (
     DominantParams,
     best_dominant_q,
-    lower_bound_h_minus1,
     modulus_bounds,
     q_starlike_certificate,
     radius_factor,
@@ -26,7 +25,6 @@ from .classes import (
     ClassParams,
     MobiusTarget,
     Verdict,
-    lemma3_check,
     lemma6_check,
     membership_samples,
     mobius_image_check,
@@ -97,9 +95,7 @@ __all__ = [
     "gamma",
     "generalized_m",
     "hadamard",
-    "lemma3_check",
     "lemma6_check",
-    "lower_bound_h_minus1",
     "membership_samples",
     "mobius_image_check",
     "modulus_bounds",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -53,32 +52,6 @@ class DominantParams:
         object.__setattr__(self, "beta", beta)
 
 
-def _settled_integral(beta: float, integrand: Callable, size: int, nodes: int,
-                      label: Callable[[int], str]):
-    """``beta * int_0^1 integrand(t, live) t^(beta-1) dt`` for ``size`` points,
-    each settled on the ladder of Gauss-Jacobi rules up to ``nodes`` by
-    :func:`quadrature.settle`, as its arrays ``(value, error, nodes used)``.
-
-    The factor is ``(beta - 1) + 1``, the reciprocal of the moment the rules
-    for the exponent ``beta - 1`` sum to (``beta`` is 1e-7 off at 1e-10);
-    below 2^-53 that exponent rounds to -1, and no rule exists.  A point that
-    reaches ``nodes`` with an error beyond 1e-8 of its value scale is reported
-    as quadrature non-convergence of the integral ``label(i)``, for the first
-    such point ``i`` (formatted only then).
-    """
-    exponent = beta - 1.0
-    if exponent == -1.0:
-        raise ConvergenceError(f"beta = {beta:g} is below 2^-53, where the Gauss-Jacobi "
-                               f"exponent beta - 1 rounds to -1")
-    value, error, used = settle(integrand, size, nodes, 0.0, exponent, exponent + 1.0)
-    unsettled = np.flatnonzero(error > 1e-8 * np.maximum(1.0, abs(value)))
-    if unsettled.size:
-        i = unsettled[0]
-        raise ConvergenceError(f"quadrature for {label(i)} did not settle: {nodes} vs "
-                               f"{nodes // 2} nodes differ by {error[i]:g}")
-    return value, error, used
-
-
 def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 128
                     ) -> Result | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dominant ``beta * int_0^1 phi(zu) u^(beta-1) du`` inside the disk.
@@ -101,9 +74,20 @@ def best_dominant_q(dp: DominantParams, z: complex | np.ndarray, nodes: int = 12
     if np.count_nonzero(outside):
         bad = complex(z.flat[np.flatnonzero(outside)[0]])
         raise DomainError(f"best dominant defined on |z| < 1, got |z| = {abs(bad):g}")
+    # The factor is (beta - 1) + 1, the reciprocal of the moment the rules for
+    # beta - 1 sum to (beta is 1e-7 off at 1e-10).  Below 2^-53 no rule exists.
+    exponent = dp.beta - 1.0
+    if exponent == -1.0:
+        raise ConvergenceError(f"beta = {dp.beta:g} is below 2^-53, where the Gauss-Jacobi "
+                               f"exponent beta - 1 rounds to -1")
     flat = z.ravel()
-    q, error, used = _settled_integral(dp.beta, lambda t, live: dp.target.phi(flat[live, None] * t),
-                                     flat.size, nodes, lambda i: f"q({complex(flat[i])})")
+    q, error, used = settle(lambda t, live: dp.target.phi(flat[live, None] * t), flat.size,
+                            nodes, 0.0, exponent, exponent + 1.0)
+    unsettled = np.flatnonzero(error > 1e-8 * np.maximum(1.0, abs(q)))
+    if unsettled.size:
+        i = unsettled[0]
+        raise ConvergenceError(f"quadrature for q({complex(flat[i])}) did not settle: {nodes} vs "
+                               f"{nodes // 2} nodes differ by {error[i]:g}")
     if z.ndim == 0:
         return complex(q[0]), float(error[0]), int(used[0])
     return q.reshape(z.shape), error.reshape(z.shape), used.reshape(z.shape)
@@ -152,21 +136,6 @@ def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
     if not abs(z) < 1.0:
         raise DomainError(f"sharp bound defined on |z| < 1, got |z| = {abs(z):g}")
     return _closed_form(dp, z, tol)
-
-
-def lower_bound_h_minus1(dp: DominantParams) -> float:
-    """Radial limit ``h(-1) = beta int_0^1 (1-At)/(1-Bt) t^(beta-1) dt``.
-
-    The integrand is bounded for every valid target: 1 - Bt only vanishes on
-    [0, 1] when B = 1, which B < A <= 1 excludes (B = -1 gives 1 + t).  The
-    value, the infimum of Re h over the disk, settles on Gauss-Jacobi rules of
-    24, 48, 96 and at most 192 nodes.
-    """
-    if dp.beta <= 0:
-        raise ParameterError(f"lower bound needs beta > 0, got {dp.beta}")
-    value, _, _ = _settled_integral(dp.beta, lambda t, live: dp.target.phi(-t), 1, 192,
-                                    lambda i: "h(-1)")
-    return float(value[0].real)
 
 
 def _radius_c(lam: float, mu: float, k: float) -> float:
@@ -259,8 +228,8 @@ def q_starlike_certificate(A: float, B: float) -> Verdict:
 
 def re_bounds(dp: DominantParams) -> tuple[float, float]:
     """Extremes of ``Re`` of the dominated functional over the whole disk:
-    :func:`modulus_bounds` at ``r = 1``.  For the half-plane target B = -1 the
-    image is unbounded above and the upper bound is inf.
+    :func:`modulus_bounds` at ``r = 1``, so the lower one is the radial limit
+    h(-1).  For the half-plane target B = -1 the upper bound is inf.
     """
     return modulus_bounds(dp, 1.0)
 

@@ -264,32 +264,3 @@ def lemma6_check(inner: MobiusTarget, outer: MobiusTarget) -> Verdict:
         witness_z=None if passed else witness,
         samples_used=1,
     )
-
-
-def lemma3_check(
-    target: MobiusTarget,
-    f_vals: Sequence[complex],
-    g_vals: Sequence[complex],
-    sigma: float,
-) -> Verdict:
-    """Certify convex-combination containment on a shared sample set.
-
-    ``f_vals`` and ``g_vals`` are finite sampled values that must individually
-    lie in the target image (violations are precondition errors, not verdicts);
-    the verdict covers ``sigma*f + (1-sigma)*g``.  Convexity of the image makes
-    this analytically guaranteed -- the check validates the sampling pipeline.
-    """
-    if not 0.0 <= sigma <= 1.0:
-        raise ParameterError(f"sigma must lie in [0, 1], got {sigma}")
-    f = np.asarray(f_vals, dtype=complex)
-    g = np.asarray(g_vals, dtype=complex)
-    if f.shape != g.shape or not f.size or not np.isfinite([f, g]).all():
-        raise ParameterError("sample sets must be non-empty, finite and of equal length")
-    for name, vals in (("f", f), ("g", g)):
-        worst = mobius_image_check(target, vals).min()
-        if worst < -CONTAINMENT_TOL:
-            raise ParameterError(
-                f"precondition violated: {name} leaves the target (margin {worst:g})"
-            )
-    worst = float(mobius_image_check(target, sigma * f + (1.0 - sigma) * g).min())
-    return Verdict(passed=worst >= -CONTAINMENT_TOL, margin=worst, samples_used=f.size)

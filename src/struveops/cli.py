@@ -215,10 +215,13 @@ def cmd_member(args: argparse.Namespace) -> int:
     z, value, margin = membership_samples(cp, f, radii, args.points)
     if args.dump:
         columns = (z.real, z.imag, value.real, value.imag, margin)
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write("z_re,z_im,j_re,j_im,margin\n")
-            for row in zip(*(col.tolist() for col in columns)):
-                fh.write(",".join(map(repr, row)) + "\n")
+        try:
+            with open(args.dump, "w", encoding="utf-8") as fh:
+                fh.write("z_re,z_im,j_re,j_im,margin\n")
+                for row in zip(*(col.tolist() for col in columns)):
+                    fh.write(",".join(map(repr, row)) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write dump file {args.dump!r}: {exc.strerror}") from exc
     verdict = verdict_from_samples(z, margin)
     _emit(verdict.to_json())
     return EXIT_OK if verdict.passed else EXIT_FAIL

@@ -35,9 +35,9 @@ from struveops import (
     f21_euler,
     gamma,
     generalized_m,
-    lower_bound_h_minus1,
     normalized_n,
     phi,
+    re_bounds,
     sharp_bound_h,
     struve_h,
     struve_l,
@@ -258,15 +258,15 @@ def test_q_and_h_minus1_at_small_beta_within_reported_error(beta):
     # The rules for the exponent beta - 1 have weights that sum to
     # 1/((beta - 1) + 1).  With beta as their factor, q and h(-1) were off by
     # the relative (beta - 1 + 1)/beta - 1: 8.3e-8 at beta = 1e-10, reporting
-    # 3.8e-15.  h(-1) reports no error; its 24-node rule's rounding bound is
-    # about 6e-15.
+    # 3.8e-15.  h(-1), the lower Re bound, reports no error and is held to
+    # 1e-14.
     with mpmath.workdps(40):
         for A, B, z in ((1.0, 0.0, 0.5), (0.5, -1.0, complex(0.3, 0.8)), (0.9, 0.4, -0.95)):
             dp = DominantParams(beta, MobiusTarget(A, B))
             q, est, _ = best_dominant_q(dp, z)
             error = float(abs(q - _h_reference(A, B, beta, z)))
             assert error <= est, (A, B, z, error, est)
-            error = float(abs(lower_bound_h_minus1(dp) - _h_reference(A, B, beta, -1.0).real))
+            error = float(abs(re_bounds(dp)[0] - _h_reference(A, B, beta, -1.0).real))
             assert error <= 1e-14, (A, B, error)
 
 

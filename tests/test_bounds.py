@@ -13,8 +13,6 @@ from struveops import (
     MobiusTarget,
     ParameterError,
     best_dominant_q,
-    lemma3_check,
-    lower_bound_h_minus1,
     mobius_image_check,
     modulus_bounds,
     q_starlike_certificate,
@@ -25,6 +23,7 @@ from struveops import (
     sharp_bound_h,
 )
 from struveops.series import gamma_n
+from struveops.suites import _bound_integral
 
 
 def dominant(A, B, beta):
@@ -271,17 +270,17 @@ class TestSharpBoundH:
 
 class TestLowerBoundHminus1:
     def test_b_zero_formula(self):
-        assert abs(lower_bound_h_minus1(dominant(1.0, 0.0, 1.0)) - 0.5) <= 1e-12
-        assert abs(lower_bound_h_minus1(dominant(0.5, 0.0, 2.0)) - 2.0 / 3.0) <= 1e-12
+        assert abs(re_bounds(dominant(1.0, 0.0, 1.0))[0] - 0.5) <= 1e-12
+        assert abs(re_bounds(dominant(0.5, 0.0, 2.0))[0] - 2.0 / 3.0) <= 1e-12
 
     def test_log_antiderivative_oracle(self):
         # int_0^1 (1 - t/2)/(1 + t/2) dt = 4 ln(3/2) - 1
-        value = lower_bound_h_minus1(dominant(0.5, -0.5, 1.0))
+        value = re_bounds(dominant(0.5, -0.5, 1.0))[0]
         assert abs(value - (4.0 * math.log(1.5) - 1.0)) <= 1e-10
 
     def test_half_plane_target_is_proper_integral(self):
         # At B = -1 the integrand is (1 - A t)/(1 + t): bounded, convergent.
-        value = lower_bound_h_minus1(dominant(0.3, -1.0, 1.5))
+        value = re_bounds(dominant(0.3, -1.0, 1.5))[0]
         oracle, _ = quad(
             lambda t: 1.5 * t**0.5 * (1.0 - 0.3 * t) / (1.0 + t), 0.0, 1.0,
             epsabs=1e-12,
@@ -291,7 +290,7 @@ class TestLowerBoundHminus1:
     def test_matches_radial_limit_of_h(self):
         dp = dominant(0.8, -0.6, 1.2)
         limit = sharp_bound_h(dp, -(1.0 - 1e-7))[0].real
-        assert abs(limit - lower_bound_h_minus1(dp)) <= 1e-6
+        assert abs(limit - _bound_integral(0.8, -0.6, 1.2, -1.0)) <= 1e-6
 
 
 class TestRadius:
@@ -434,7 +433,7 @@ class TestReBounds:
     def test_lower_equals_h_minus1(self):
         dp = dominant(0.6, -0.4, 1.7)
         lower, _ = re_bounds(dp)
-        assert abs(lower - lower_bound_h_minus1(dp)) <= 1e-9
+        assert abs(lower - _bound_integral(0.6, -0.4, 1.7, -1.0)) <= 1e-9
 
     def test_integral_representation_oracle(self):
         for A, B, beta in ((0.5, 0.25, 1.0), (0.9, -0.6, 0.7), (0.4, 0.1, 2.2)):
@@ -544,7 +543,6 @@ class TestInclusionInterpolant:
         h2 = complex(t.center - 0.3, -0.2)
         sigma = 0.7 / 2.1
         assert mobius_image_check(t, sigma * h1 + (1.0 - sigma) * h2) > 0
-        assert lemma3_check(t, [h1], [h2], sigma).passed
 
 
 class TestLambdaNegativeIdentity:

@@ -15,7 +15,6 @@ from struveops import (
     PowerSeries,
     StruveParams,
     apply_s,
-    lemma3_check,
     lemma6_check,
     membership_samples,
     mobius_image_check,
@@ -306,48 +305,6 @@ class TestLemma6:
                 continue
             verdict = lemma6_check(MobiusTarget(a2, b2), MobiusTarget(a1, b1))
             assert verdict.passed
-
-
-class TestLemma3:
-    def test_sigma_zero_matches_g(self):
-        t = MobiusTarget(1.0, -1.0)
-        f_vals = [complex(2.0, 0.3), complex(1.5, -0.2)]
-        g_vals = [complex(0.4, 0.1), complex(0.8, 0.0)]
-        combo = lemma3_check(t, f_vals, g_vals, 0.0)
-        assert combo.margin == min(mobius_image_check(t, w) for w in g_vals)
-
-    def test_sigma_one_matches_f(self):
-        t = MobiusTarget(1.0, -1.0)
-        f_vals = [complex(2.0, 0.3), complex(1.5, -0.2)]
-        g_vals = [complex(0.4, 0.1), complex(0.8, 0.0)]
-        combo = lemma3_check(t, f_vals, g_vals, 1.0)
-        assert combo.margin == min(mobius_image_check(t, w) for w in f_vals)
-
-    def test_center_and_interior_midpoint(self):
-        t = MobiusTarget(0.5, 0.0)
-        combo = lemma3_check(t, [complex(t.center)], [complex(t.center + 0.3)], 0.5)
-        assert combo.passed
-
-    def test_precondition_enforced(self):
-        t = MobiusTarget(1.0, -1.0)
-        with pytest.raises(ParameterError):
-            lemma3_check(t, [complex(-1.0, 0.0)], [complex(1.0, 0.0)], 0.5)
-
-    def test_sigma_range_enforced(self):
-        t = MobiusTarget(1.0, -1.0)
-        with pytest.raises(ParameterError):
-            lemma3_check(t, [1.0 + 0j], [1.0 + 0j], 1.5)
-
-    @pytest.mark.parametrize("f_vals,g_vals", [
-        ([math.nan], [1.0]),  # passed with margin inf: nan < worst is never true
-        ([1.0], [complex(1.0, math.inf)]),
-        ([1.0, math.nan], [1.0, 1.0]),
-        ([], []),  # min() of an empty sequence
-        ([1.0], [1.0, 1.0]),
-    ])
-    def test_bad_sample_sets_rejected(self, f_vals, g_vals):
-        with pytest.raises(ParameterError):
-            lemma3_check(MobiusTarget(0.5, -0.5), f_vals, g_vals, 0.5)
 
 
 def test_verdict_json_shape():

@@ -9,7 +9,7 @@ from struveops import (
     ParameterError,
     best_dominant_q,
     f21_euler,
-    lower_bound_h_minus1,
+    re_bounds,
 )
 from struveops.quadrature import RULE_CACHE_SIZE, _ladder, jacobi_rule_01, settle
 
@@ -67,15 +67,13 @@ def test_invalid_rules_are_parameter_errors(n, alpha, beta):
 
 
 def test_every_quadrature_caller_gets_the_check():
-    # beta - 1 rounds to -1, so no rule exists for a valid beta: q and h(-1)
-    # name beta in a ConvergenceError before they ask for one.
+    # beta - 1 rounds to -1, so no rule exists for a valid beta: q names beta
+    # in a ConvergenceError before it asks for one.
     tiny = DominantParams(1e-300, MobiusTarget(1.0, 0.0))
     with pytest.raises(ParameterError):
         best_dominant_q(DominantParams(1.0, MobiusTarget(1.0, 0.0)), 0.5, nodes=0)
     with pytest.raises(ConvergenceError, match="beta = 1e-300 is below 2"):
         best_dominant_q(tiny, 0.5)
-    with pytest.raises(ConvergenceError, match="beta = 1e-300 is below 2"):
-        lower_bound_h_minus1(tiny)
     with pytest.raises(ParameterError):
         f21_euler(HypergeomParams(1.0, 1e-300, 2.0), 0.5)
 
@@ -97,7 +95,7 @@ def test_large_exponents_keep_q_within_its_error(empty_cache, beta):
                 exact = A / mpmath.mpf(B) + (1 - A / mpmath.mpf(B)) * mpmath.hyp2f1(
                     1, beta, beta + 1, -B * mpmath.mpmathify(z))
             assert abs(q - complex(exact)) <= est
-        h = lower_bound_h_minus1(DominantParams(beta, MobiusTarget(0.5, 0.0)))
+        h = re_bounds(DominantParams(beta, MobiusTarget(0.5, 0.0)))[0]
         assert abs(h - float(1 - mpmath.mpf(beta) / (beta + 1) / 2)) <= 1e-15
     t, w = jacobi_rule_01(128, 0.0, beta - 1.0)
     assert abs(w.sum() - 1.0 / beta) <= 1e-15 / beta

@@ -5,22 +5,17 @@ and checks that the array draw returns the same doubles (compared by
 ``repr``, so signed zeros count) and leaves the generator in the same state.
 """
 
-import cmath
-import math
-
 import numpy as np
 import pytest
 
-from struveops import ConvergenceError, MobiusTarget, StruveParams
+from struveops import ConvergenceError, StruveParams
 from struveops.specialfn import is_nonpositive_integer
 from struveops.suites import (
     _bound_integral,
-    _inclusion_samples,
     _random_complexes,
     _random_hypergeom_case,
     _random_normalized_series,
     _random_struve_params,
-    _random_target,
     _rng,
 )
 
@@ -56,16 +51,6 @@ def scalar_struve_params(rng):
         if is_nonpositive_integer(k):
             continue
         return StruveParams(p, b, c), rounds
-
-
-def scalar_inclusion_samples(rng, target):
-    f_vals, g_vals = [], []
-    for _ in range(16):
-        for out in (f_vals, g_vals):
-            rho = target.radius * math.sqrt(rng.uniform(0.0, 0.98))
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            out.append(target.center + rho * cmath.exp(1j * ang))
-    return f_vals, g_vals
 
 
 def reprs(values):
@@ -120,30 +105,6 @@ def test_hypergeom_case_has_the_scalar_draws():
                 break
         assert reprs((hp.a, hp.b, hp.c, z)) == reprs((a, b, c, w))
         assert_same_state(rng, ref)
-
-
-def test_inclusion_disk_samples_have_the_scalar_draws():
-    # The convex suite's own trial streams: target, sigma, then the samples.
-    for seed in SEEDS:
-        for trial in range(3):
-            rng, ref = _rng(seed, 2, trial), _rng(seed, 2, trial)
-            target = _random_target(rng)
-            assert target == _random_target(ref) and not target.is_half_plane
-            assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
-            pairs = _inclusion_samples(rng, target)
-            f_vals, g_vals = scalar_inclusion_samples(ref, target)
-            assert len(pairs) == 16 and all(len(pair) == 2 for pair in pairs)
-            assert reprs(f for f, _ in pairs) == reprs(f_vals)
-            assert reprs(g for _, g in pairs) == reprs(g_vals)
-            assert_same_state(rng, ref)
-
-
-def test_inclusion_samples_lie_in_the_image():
-    # Disk targets only: the convex suite draws B >= -0.95.
-    for target in (MobiusTarget(0.9, -0.95), MobiusTarget(0.5, 0.2)):
-        pairs = _inclusion_samples(np.random.default_rng(7), target)
-        for w in (w for pair in pairs for w in pair):
-            assert abs(w - target.center) < target.radius
 
 
 def test_bound_oracle_matches_mpmath():
