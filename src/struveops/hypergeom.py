@@ -91,42 +91,55 @@ def f21_series(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
 
 
 def f21_euler(hp: HypergeomParams, z: complex, nodes: int = 128) -> Result:
-    """Euler integral
-    ``G(c)/(G(c-b)G(b)) int_0^1 t^(b-1) (1-t)^(c-b-1) (1-tz)^(-a) dt``.
+    """Euler integral ``G(c)/(G(c-b)G(b)) int_0^1 t^(b-1) (1-t)^(c-b-1) (1-tz)^(-a) dt``,
+    as ``(value, est_error, nodes used)``: the batch of one of :func:`f21_euler_all`."""
+    return f21_euler_all([(hp, z)], nodes)[0]
 
-    The real parts of the endpoint exponents go into the Gauss-Jacobi weight;
-    any imaginary parts remain in the integrand as unit-modulus factors.  The
-    integral settles on the ladder of rules up to ``nodes`` (16, 32, 64, 128
-    by default), and the result is ``(value, est_error, nodes used)``: the
-    gap to the rung below plus the rule's rounding bound, scaled by the gamma
-    prefactor with its own error.
-    A nonzero bound not below ``|value|`` raises ConvergenceError, as in
-    ``ratio_sum``.  Requires Re c > Re b > 0 and z off the cut [1, oo).
+
+def f21_euler_all(cases: list[tuple[HypergeomParams, complex]], nodes: int = 128) -> list[Result]:
+    """The Euler integral of each ``(HypergeomParams, z)`` pair of ``cases``.
+
+    The real parts of the endpoint exponents go into the Gauss-Jacobi weight,
+    any imaginary parts into the integrand as unit-modulus factors.  The cases
+    settle together on the ladder of rules up to ``nodes`` (16, 32, 64, 128 by
+    default), each case with the bits of its batch of one, as ``(value,
+    est_error, nodes used)``: the gap to the rung below plus the rule's
+    rounding bound, scaled by the gamma prefactor with its own error.  Errors
+    name the first case in input order without Re c > Re b > 0
+    (ParameterError) or with z not finite or on the cut [1, oo) (DomainError);
+    failing that, the first with a nonzero bound not below ``|value|``
+    (ConvergenceError, as in ``ratio_sum``).
     """
-    z = complex(z)
-    a, b, c = hp.a, hp.b, hp.c
-    if not (c.real > b.real > 0.0):
-        raise ParameterError(
-            f"Euler integral needs Re c > Re b > 0, got b={b}, c={c}"
-        )
-    if not cmath.isfinite(z) or (z.imag == 0.0 and z.real >= 1.0):
-        raise DomainError(f"Euler integral needs a finite z off the cut [1, oo), got z = {z}")
+    cases = [(hp, complex(z)) for hp, z in cases]
+    for hp, z in cases:
+        if not (hp.c.real > hp.b.real > 0.0):
+            raise ParameterError(f"Euler integral needs Re c > Re b > 0, got b={hp.b}, c={hp.c}")
+        if not cmath.isfinite(z) or (z.imag == 0.0 and z.real >= 1.0):
+            raise DomainError(f"Euler integral needs a finite z off the cut [1, oo), got z = {z}")
+    a, b, c, z = np.array([(hp.a, hp.b, hp.c, z) for hp, z in cases], dtype=complex).reshape(-1, 4).T
+    alpha, beta = c.real - b.real - 1.0, b.real - 1.0
 
     def integrand(t: np.ndarray, live: np.ndarray) -> np.ndarray:
-        f = np.exp(-a * np.log(1.0 - t * z))
-        if b.imag != 0.0:
-            f = f * np.exp(1j * b.imag * np.log(t))
-        if (c - b).imag != 0.0:
-            f = f * np.exp(1j * (c - b).imag * np.log(1.0 - t))
+        f = np.exp(-a[live, None] * np.log(1.0 - t * z[live, None]))
+        for imag, base in ((b.imag[live], t), ((c - b).imag[live], 1.0 - t)):
+            rows = np.flatnonzero(imag)
+            if rows.size:
+                f[rows] *= np.exp(1j * imag[rows, None] * np.log(base[rows]))
         return f
-    value, error, used = settle(integrand, 1, nodes, c.real - b.real - 1.0, b.real - 1.0)
-    prefactor = gamma(c) / (gamma(c - b) * gamma(b))
-    value, est, used = scaled(prefactor, 3.0 * GAMMA_RTOL,
-                              (complex(value[0]), float(error[0]), int(used[0])))
-    if est and not est < abs(value):
-        raise ConvergenceError(f"no correct digit: error bound {est:g} >= |value| "
-                               f"{abs(value):g} at {used} nodes")
-    return value, est, used
+    settled = settle(integrand, len(cases), nodes, alpha, beta)
+    results = []
+    for (hp, _), al, be, *integral in zip(cases, alpha.tolist(), beta.tolist(),
+                                          *(v.tolist() for v in settled)):
+        # The rules integrate t^be (1-t)^al: b and c - b are those rounded
+        # exponents plus 1, and c their sum (b itself put b = 1e-10 8e-8 off).
+        rb, rcb = complex(be + 1.0, hp.b.imag), complex(al + 1.0, (hp.c - hp.b).imag)
+        value, est, used = scaled(gamma(rb + rcb) / (gamma(rcb) * gamma(rb)), 3.0 * GAMMA_RTOL,
+                                  integral)
+        if est and not est < abs(value):
+            raise ConvergenceError(f"no correct digit: error bound {est:g} >= |value| "
+                                   f"{abs(value):g} at {used} nodes")
+        results.append((value, est, used))
+    return results
 
 
 def f21_pfaff(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:

@@ -5,7 +5,8 @@ relations over seeded random draws and returns a list of plain-dict check
 records for the CLI to stream as JSON lines.  All randomness flows through
 ``numpy.random.default_rng([seed, *stream])``, so a given seed reproduces the
 report byte for byte, and per-trial streams keep the records independent of
-evaluation order.
+evaluation order: ``hypergeom`` draws all its trials, then settles their Euler
+integrals in one batch.
 
 Suite names, default trial counts and default tolerances:
 
@@ -40,7 +41,7 @@ from .bounds import (
 )
 from .classes import CONTAINMENT_TOL, MobiusTarget, lemma6_check, mobius_image_check
 from .errors import ConvergenceError, ParameterError
-from .hypergeom import HypergeomParams, f21_euler, f21_pfaff, f21_series
+from .hypergeom import HypergeomParams, f21_euler_all, f21_pfaff, f21_series
 from .operator import recurrence_residual
 from .series import PowerSeries
 from .specialfn import StruveParams, is_nonpositive_integer, ode_residual_n
@@ -151,10 +152,9 @@ def _random_hypergeom_case(rng: np.random.Generator):
 def run_hypergeom(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[dict]:
     """Three-way series/Euler/Pfaff agreement plus closed-form anchors."""
     records = []
-    for i in range(trials):
-        hp, z = _random_hypergeom_case(_rng(seed, 1, i))
+    cases = [_random_hypergeom_case(_rng(seed, 1, i)) for i in range(trials)]
+    for i, ((hp, z), (e, _, _)) in enumerate(zip(cases, f21_euler_all(cases))):
         s = f21_series(hp, z)[0]
-        e = f21_euler(hp, z)[0]
         p = f21_pfaff(hp, z)[0]
         value = max(abs(s - e), abs(s - p))
         records.append(

@@ -192,6 +192,20 @@ def test_f21_negative_c_within_reported_error():
     assert checked >= 150
 
 
+@pytest.mark.parametrize("a,b,c,z", [
+    (1.0, 1e-10, 2.0, 0.5), (0.7, 1e-6, 1.5, -0.6), (2.0, 1e-13, 1.0, 0.3 + 0.2j),
+    (1.0, 1e-3, 1e-3 + 1e-10, 0.5), (0.7, 0.3, 0.3 + 1e-7, -0.5j),
+])
+def test_f21_euler_small_exponents_within_reported_error(a, b, c, z):
+    # The rules integrate t^(Re b - 1) (1-t)^(Re(c-b) - 1) with both exponents
+    # rounded.  A gamma prefactor at b and c - b themselves put these 8.3e-8,
+    # 2.9e-11, 3.1e-4, 1.6e-7 and 5.1e-10 off, against est_errors near 3e-13.
+    value, est, _ = f21_euler(HypergeomParams(a, b, c), z)
+    with mpmath.workdps(40):
+        exact = complex(mpmath.hyp2f1(a, b, c, z))
+    assert abs(value - exact) <= est
+
+
 def test_f21_euler_complex_exponents_within_reported_error():
     # Imaginary parts of b and c - b stay in the integrand as t^(i Im b),
     # which is not analytic at t = 0: the rungs converge slowly, and at 256

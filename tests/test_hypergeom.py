@@ -18,7 +18,7 @@ from struveops import (
     f21_series,
     series,
 )
-from struveops.hypergeom import LERCH_AT, LERCH_REACH
+from struveops.hypergeom import LERCH_AT, LERCH_REACH, f21_euler_all
 
 
 def log_form(z):
@@ -89,6 +89,52 @@ class TestEuler:
     def test_cut_rejected(self):
         with pytest.raises(DomainError):
             f21_euler(HypergeomParams(1.0, 1.0, 2.0), 1.5)
+
+
+def raised(call):
+    with pytest.raises(NumericsError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestEulerBatch:
+    """``f21_euler_all`` settles many cases at once; ``f21_euler`` is its batch of one."""
+
+    COMPLEX_BC = [
+        (HypergeomParams(complex(0.5, 0.1), complex(1.2, 0.3), complex(2.7, -0.2)),
+         complex(-0.4, 0.2)),
+        (HypergeomParams(0.8, 1.3, complex(2.9, 0.4)), -0.3),
+        (HypergeomParams(complex(0.2, -0.6), complex(0.9, -0.5), complex(2.0, -0.5)), 0.25j),
+    ]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_suite_draws_have_the_bits_of_each_case_alone(self, seed):
+        from struveops.suites import _random_hypergeom_case, _rng
+
+        cases = [_random_hypergeom_case(_rng(seed, 1, i)) for i in range(50)]
+        batch = f21_euler_all(cases)
+        assert list(map(repr, batch)) == [repr(f21_euler(hp, z)) for hp, z in cases]
+
+    @pytest.mark.parametrize("nodes", [64, 128, 256])
+    def test_complex_exponents_have_the_bits_of_each_case_alone(self, nodes):
+        # Real cases between the complex ones: the unit-modulus factors of
+        # Im b and Im(c - b) apply to their own rows only.
+        cases = [*self.COMPLEX_BC[:1], (HypergeomParams(1, 1, 2), 0.5), *self.COMPLEX_BC[1:]]
+        batch = f21_euler_all(cases, nodes)
+        assert list(map(repr, batch)) == [repr(f21_euler(hp, z, nodes)) for hp, z in cases]
+
+    def test_batch_raises_for_the_first_failing_case(self):
+        good = (HypergeomParams(1, 1, 2), 0.5)
+        order = (HypergeomParams(1.0, 2.5, 2.0), 0.3)
+        cut = (HypergeomParams(1.0, 1.0, 2.0), 1.5)
+        no_digit = (HypergeomParams(1, complex(0.1, 1.0), 0.3), 0.6)
+        # Parameter and domain checks come first, in input order; then the
+        # first case whose bound reaches |value|.
+        for batch, first in (([good, order, cut], order), ([good, cut, order], cut),
+                             ([no_digit, good, order], order), ([good, no_digit, good], no_digit)):
+            expected = raised(lambda: f21_euler(*first))
+            assert raised(lambda: f21_euler_all(batch)) == expected
+        assert f21_euler_all([]) == []
 
 
 class TestPfaff:

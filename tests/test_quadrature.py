@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from struveops import (
     f21_euler,
     re_bounds,
 )
-from struveops.quadrature import RULE_CACHE_SIZE, _ladder, jacobi_rule_01, settle
+from struveops.errors import NumericsError
+from struveops.quadrature import RULE_CACHE_SIZE, _ladder, jacobi_rule_01, jacobi_rules, settle
 
 
 @pytest.fixture
@@ -142,3 +145,90 @@ def test_each_point_stops_at_its_own_rung():
     # A point the ladder never settles keeps the cap and its gap there.
     value, gap, used = settle(lambda t, live: np.abs(t - 0.3), 1, 64, 0.0, 0.0)
     assert used.tolist() == [64] and gap[0] > 1e-6
+
+
+def reference_rule(n, alpha, beta):
+    """The one-pair Golub-Welsch build that batches replaced: a loop over the
+    rows of p on 1-D arrays, reduced by einsum."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha + beta
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    diag[1:] = (beta - alpha) / s * ((beta + alpha) / (s + 2.0))
+    off = np.empty(n - 1)
+    off[:1] = (1.0 + alpha) / (2.0 + alpha + beta) * ((1.0 + beta) / (2.0 + alpha + beta)) \
+        / (3.0 + alpha + beta)
+    k, s = k[1:], s[1:]
+    off[1:] = k / s * ((k + alpha) / s) * ((k + beta) / (s + 1.0)) * ((k + alpha + beta) / (s - 1.0))
+    a = 0.5 * (1.0 + diag)
+    r = np.sqrt(np.maximum(off, np.finfo(float).tiny))
+    jacobi = np.diag(a)
+    jacobi[range(1, n), range(n - 1)] = r
+    t = np.linalg.eigvalsh(jacobi)
+    p = np.ones((n, n))
+    if n > 1:
+        p[1] = (t - a[0]) / r[0]
+        for j in range(1, n - 1):
+            p[j + 1] = (t - a[j]) / r[j] * p[j] - r[j - 1] / r[j] * p[j - 1]
+    w = 1.0 / np.einsum("ki,ki->i", p, p)
+    if alpha == 0.0:
+        moment = 1.0 / (beta + 1.0)
+    else:
+        moment = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
+                          - math.lgamma(alpha + beta + 2.0))
+    return t, w * (moment / w.sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 24, 32, 48, 64, 128, 192])
+def test_batched_rows_have_the_bits_of_one_pair(empty_cache, n):
+    rng = np.random.default_rng([22, n])
+    for size in (1, 2, 7, 60):
+        alpha = np.where(rng.uniform(size=size) < 0.3, 0.0, rng.uniform(-1.0, 3.0, size))
+        beta = np.expm1(rng.uniform(np.log(0.01), np.log(1e6 + 1.0), size))
+        beta[rng.integers(size)] = 1e-16 - 1.0
+        t, w = jacobi_rules(n, alpha, beta)
+        assert t.shape == w.shape == (size, n)
+        assert not t.flags.writeable and not w.flags.writeable
+        for i in range(size):
+            for t1, w1 in (jacobi_rule_01(n, alpha[i], beta[i]),
+                           reference_rule(n, alpha[i], beta[i])):
+                np.testing.assert_array_equal(t[i], t1)
+                np.testing.assert_array_equal(w[i], w1)
+
+
+def test_empty_batch_has_no_rows():
+    t, w = jacobi_rules(16, [], [])
+    assert t.shape == w.shape == (0, 16)
+
+
+def _raised(call):
+    with pytest.raises(NumericsError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", [(-1.0, 0.0), (0.5, -1.5), (float("nan"), 0.0), (0.0, 1e307)])
+def test_first_invalid_pair_raises_the_scalar_error(empty_cache, bad):
+    # A valid pair, the invalid one, then another invalid pair: the batch
+    # raises what a scalar call on the first invalid pair raises.
+    alpha, beta = zip((0.2, 0.3), bad, (-2.0, 1e308))
+    expected = _raised(lambda: jacobi_rule_01.__wrapped__(16, *bad))
+    assert _raised(lambda: jacobi_rules(16, alpha, beta)) == expected
+    assert _raised(lambda: jacobi_rules(0, alpha, beta)) == _raised(
+        lambda: jacobi_rule_01.__wrapped__(0, 0.2, 0.3))
+
+
+def test_per_point_exponents_settle_as_one_pair_each(empty_cache):
+    # Each point's value, gap and rung are those of a settle of it alone,
+    # whose scalar exponents take the cached rules.
+    rng = np.random.default_rng(7)
+    alpha, beta = rng.uniform(-0.9, 2.0, 40), rng.uniform(-0.9, 2.0, 40)
+    alpha[::5] = 0.0
+    shift, factor = rng.uniform(-0.9, 0.9, 40), rng.uniform(0.5, 2.0, 40)
+    batch = settle(lambda t, live: np.cos(40.0 * shift[live, None] * t), 40, 128,
+                   alpha, beta, factor)
+    for i in range(40):
+        alone = settle(lambda t, live: np.cos(40.0 * shift[i] * t), 1, 128,
+                       alpha[i], beta[i], factor[i])
+        assert [v[i] for v in batch] == [v[0] for v in alone]
+    assert set(batch[2]) == {32, 64, 128}

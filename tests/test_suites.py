@@ -126,3 +126,23 @@ def test_unsettled_bound_oracle_is_convergence_error():
     # A pole at t = 1/2 inside the interval: no two levels ever agree.
     with pytest.raises(ConvergenceError, match="tanh-sinh rule .* did not settle"):
         _bound_integral(0.5, -2.0, 0.7, 1.0)
+
+
+def test_hypergeom_suite_builds_each_rung_once(monkeypatch):
+    # The 50 Euler integrals settle together: one batched rule build per rung
+    # reached, for the cases still live there, not one per trial.
+    from struveops import quadrature
+    from struveops.suites import run_hypergeom
+
+    builds = []
+    jacobi_rules = quadrature.jacobi_rules
+
+    def counted(n, alpha, beta):
+        builds.append((n, len(alpha)))
+        return jacobi_rules(n, alpha, beta)
+
+    monkeypatch.setattr(quadrature, "jacobi_rules", counted)
+    records = run_hypergeom(seed=1)
+    assert all(r["passed"] for r in records)
+    assert builds[:2] == [(16, 50), (32, 50)]
+    assert [n for n, _ in builds] == quadrature._ladder(128)[:len(builds)]
