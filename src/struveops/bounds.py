@@ -23,12 +23,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .classes import MobiusTarget, Verdict
 from .errors import ConvergenceError, DomainError, ParameterError
-from .hypergeom import f21_lerch
+from .hypergeom import f21_lerch, f21_lerch_all
 from .quadrature import settle
 from .series import Result, gamma_n, scaled
 
@@ -106,11 +107,15 @@ def _product_error(c: float, w: float) -> float:
     return ((c_hi * w_hi - product) + c_hi * w_lo + c_lo * w_hi) + c_lo * w_lo
 
 
-def _closed_form(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
+def _closed_form(dp: DominantParams, z: complex | np.ndarray, tol: float = 1e-13
+                 ) -> Result | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``h(z)`` of the module docstring as ``(value, est_error, terms)``: the
     2F1 bound, plus what the rounding of its argument -Bz moves it by, scaled
     by its prefactor, plus the rounding of the prefactor, of its product with
-    2F1 and of the sum with 1."""
+    2F1 and of the sum with 1.  A 1-D array of z is evaluated by
+    ``f21_lerch_all`` and gives arrays with the bits of the scalar calls."""
+    if isinstance(z, np.ndarray):
+        return _closed_form_all(dp, z, tol)
     A, B, beta = dp.target.A, dp.target.B, dp.beta
     a, x = beta + 1.0, -B * z
     f, est, terms = f21_lerch(beta, x, tol)
@@ -127,15 +132,68 @@ def _closed_form(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
     return h, est + gamma_n(1) * abs(h), terms
 
 
-def sharp_bound_h(dp: DominantParams, z: complex, tol: float = 1e-13) -> Result:
+def _closed_form_all(dp: DominantParams, z: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_closed_form`` over a 1-D complex array.  numpy's complex ``*`` and
+    ``/`` do not round as CPython's, so each product and quotient is written
+    out in floats as CPython forms it, a float ``f`` taken as ``complex(f, 0)``."""
+    A, B, beta = dp.target.A, dp.target.B, dp.beta
+    a = beta + 1.0
+    zr, zi = z.real, z.imag
+    zero_r, zero_i = 0.0 * zr, 0.0 * zi  # z's parts times the 0 of complex(f, 0)
+    x = np.empty_like(z)
+    x.real, x.imag = -B * zr - zero_i, -B * zi + zero_r
+    f, est, terms = f21_lerch_all(beta, x, tol)
+    dx = np.hypot(*_product_error(-B, np.stack((zr, zi))))
+    if dx.any():
+        with np.errstate(all="ignore"):
+            # 1 / (1 - x) by Smith's rule, as CPython divides (1 + 0j) by 1 - x.
+            wr, wi = 1.0 - x.real, 0.0 - x.imag
+            by_real = abs(wr) >= abs(wi)
+            ratio = np.where(by_real, wi / wr, wr / wi)
+            denom = np.where(by_real, wr + wi * ratio, wr * ratio + wi)
+            inv_r = np.where(by_real, 1.0 + 0.0 * ratio, ratio + 0.0) / denom
+            inv_i = np.where(by_real, 0.0 - ratio, 0.0 * ratio - 1.0) / denom
+            drift = (2.0 * a * np.hypot(inv_r - f.real, inv_i - f.imag) * dx
+                     / np.hypot(x.real, x.imag))
+        est = np.where(dx != 0.0, est + drift, est)
+    k = beta / (beta + 1.0)
+    d_r, d_i = (A - B) * zr - zero_i, (A - B) * zi + zero_r
+    d_r, d_i = d_r * k - d_i * 0.0, d_r * 0.0 + d_i * k
+    h = np.empty_like(z)
+    h.real, h.imag = d_r * f.real - d_i * f.imag, d_r * f.imag + d_i * f.real
+    est = np.hypot(d_r, d_i) * est + np.hypot(h.real, h.imag) * gamma_n(9)
+    h.real += 1.0
+    h.imag = 0.0 + h.imag
+    return h, est + gamma_n(1) * np.hypot(h.real, h.imag), terms
+
+
+def sharp_bound_h(dp: DominantParams, z: complex | np.ndarray, tol: float = 1e-13
+                  ) -> Result | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed form of the best dominant (see module docstring) on ``|z| < 1``,
-    as ``(value, est_error, terms)``."""
+    as ``(value, est_error, terms)``.
+
+    ``z`` is a scalar (a ``complex``, a ``float`` and an ``int``), summed in
+    ``ratio_sum``'s loop, or an array of points (arrays of its shape), whose
+    series are summed together in numpy blocks, each value with the bits of
+    its scalar call.  A point not strictly inside the disk (NaN included) is
+    a DomainError naming the first such z in input order; past that, the
+    first point whose scalar call raises raises its error.
+    """
     if dp.beta <= 0:
         raise ParameterError(f"sharp bound needs beta > 0, got {dp.beta}")
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainError(f"sharp bound defined on |z| < 1, got |z| = {abs(z):g}")
-    return _closed_form(dp, z, tol)
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        z = complex(z)
+        if not abs(z) < 1.0:
+            raise DomainError(f"sharp bound defined on |z| < 1, got |z| = {abs(z):g}")
+        return _closed_form(dp, z, tol)
+    z = np.asarray(z, dtype=complex)
+    inside = np.hypot(z.real, z.imag) < 1.0
+    if not inside.all():
+        bad = complex(z.flat[inside.argmin()])
+        raise DomainError(f"sharp bound defined on |z| < 1, got |z| = {abs(bad):g}")
+    h, est, terms = _closed_form(dp, z.ravel(), tol)
+    return h.reshape(z.shape), est.reshape(z.shape), terms.reshape(z.shape)
 
 
 def _radius_c(lam: float, mu: float, k: float) -> float:
@@ -194,6 +252,16 @@ def _zqprime_over_q_direct(B: float, z: complex) -> complex:
     return z * qprime / q
 
 
+@lru_cache(maxsize=1)
+def _check_points() -> tuple[np.ndarray, np.ndarray, tuple[complex, ...]]:
+    """The certificate's 20 fixed points as read-only r and psi and as z: the
+    (r, psi) rows of one draw of seed 20210, made on first use so that
+    importing the package does not load numpy.random."""
+    r, psi = np.random.default_rng(20210).uniform((0.05, 0.0), (0.9, math.tau), (20, 2)).T
+    r.flags.writeable = psi.flags.writeable = False
+    return r, psi, tuple(a * cmath.exp(1j * b) for a, b in zip(r.tolist(), psi.tolist()))
+
+
 def q_starlike_certificate(A: float, B: float) -> Verdict:
     """Certify starlikeness of ``Q(z) = const * (A-B) z / (1+Bz)^2``.
 
@@ -210,10 +278,7 @@ def q_starlike_certificate(A: float, B: float) -> Verdict:
     worst = float(values[idx])
     witness = rs[idx[0]] * cmath.exp(1j * psis[idx[1]])
 
-    # The 20 fixed points are (r, psi) rows of one draw, made per call so that
-    # importing the package does not load numpy.random.
-    r, psi = np.random.default_rng(20210).uniform((0.05, 0.0), (0.9, math.tau), (20, 2)).T
-    zs = [a * cmath.exp(1j * b) for a, b in zip(r.tolist(), psi.tolist())]
+    r, psi, zs = _check_points()
     closed = re_zqprime_over_q(B, r, psi).tolist()
     bad = [z for z, c in zip(zs, closed) if abs(_zqprime_over_q_direct(B, z).real - c) > 1e-10]
     witness = bad[0] if bad else witness
@@ -234,18 +299,36 @@ def re_bounds(dp: DominantParams) -> tuple[float, float]:
     return modulus_bounds(dp, 1.0)
 
 
-def modulus_bounds(dp: DominantParams, r: float) -> tuple[float, float]:
+def modulus_bounds(dp: DominantParams, r: float | np.ndarray
+                   ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Modulus extremes of the de-rotated functional on ``|z| <= r``: the real
     parts of the closed form at ``-r`` and ``+r``, for ``0 <= r <= 1``.  The
     intervals nest and ``r = 1`` gives the Re bounds.  At ``B r = -1`` the
     2F1 argument of the upper bound hits +1, where the function diverges, and
     the upper bound is inf.
+
+    ``r`` is a float, or an array of radii (arrays of its shape, from one
+    ``_closed_form`` call over both ends of every radius), each bound with
+    the bits of its scalar call.  An r outside [0, 1] (NaN included) is a
+    ParameterError naming the first such r in input order.
     """
     if dp.beta < 0:
         raise ParameterError(f"bounds need beta >= 0, got {dp.beta}")
-    if not 0.0 <= r <= 1.0:
-        raise ParameterError(f"r must lie in [0, 1], got {r}")
-    lower = _closed_form(dp, -r)[0].real
-    if dp.target.B * r == -1.0:
-        return lower, math.inf
-    return lower, _closed_form(dp, r)[0].real
+    if np.ndim(r) == 0:
+        if not 0.0 <= r <= 1.0:
+            raise ParameterError(f"r must lie in [0, 1], got {r}")
+        r = float(r)
+        lower = _closed_form(dp, -r)[0].real
+        if dp.target.B * r == -1.0:
+            return lower, math.inf
+        return lower, _closed_form(dp, r)[0].real
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    inside = (0.0 <= flat) & (flat <= 1.0)
+    if not inside.all():
+        raise ParameterError(f"r must lie in [0, 1], got {float(flat[inside.argmin()])}")
+    finite = dp.target.B * flat != -1.0
+    h = _closed_form(dp, np.concatenate((-flat, flat[finite]), dtype=complex))[0].real
+    upper = np.full(flat.size, math.inf)
+    upper[finite] = h[flat.size:]
+    return h[:flat.size].reshape(r.shape), upper.reshape(r.shape)

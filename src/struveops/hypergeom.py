@@ -25,13 +25,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, NumericsError, ParameterError
 from .quadrature import settle
-from .series import Result, gamma_n, ratio_sum, scaled
+from .series import Result, gamma_n, ratio_sum, ratio_sum_all, scaled
 from .specialfn import (EULER_GAMMA, GAMMA_RTOL, bernoulli_ratios, cpow, digamma, gamma,
                         is_nonpositive_integer, power_rtol)
 
@@ -150,6 +151,12 @@ def f21_pfaff(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
     geometric convergence.  Returns ``(value, est_error, terms)``.
     """
     z = complex(z)
+    inner = f21_series(HypergeomParams(hp.a, hp.c - hp.b, hp.c), _pfaff_argument(z), tol)
+    return scaled(cpow(1.0 - z, -hp.a), power_rtol(1.0 - z, -hp.a), inner)
+
+
+def _pfaff_argument(z: complex) -> complex:
+    """Pfaff's argument ``z/(z-1)``, or DomainError where it is not in the disk."""
     if z == 1.0:
         raise DomainError("Pfaff transformation undefined at z = 1")
     w = z / (z - 1.0)
@@ -157,8 +164,27 @@ def f21_pfaff(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
         raise DomainError(
             f"Pfaff argument z/(z-1) = {w} outside the unit disk (needs Re z < 1/2)"
         )
-    inner = f21_series(HypergeomParams(hp.a, hp.c - hp.b, hp.c), w, tol)
-    return scaled(cpow(1.0 - z, -hp.a), power_rtol(1.0 - z, -hp.a), inner)
+    return w
+
+
+def _takes_pfaff(z: complex | np.ndarray, r: float | np.ndarray,
+                 r1: float | np.ndarray) -> bool | np.ndarray:
+    """Where ``f21`` takes Pfaff, from z, ``r = |z|`` and ``r1 = |z - 1|``:
+    for scalars and for arrays alike."""
+    return (r > 0.5) & (z.real < 0.5) & (r1 > 1.0)
+
+
+def _near_circle(r: float | np.ndarray, r1: float | np.ndarray) -> bool | np.ndarray:
+    """Where ``f21_lerch`` looks at the expansion in Log x, from ``r = |x|``
+    and ``r1 = |x - 1|``: x finite with ``|x| >= LERCH_REACH max(1, |x - 1|)``."""
+    return (r >= LERCH_REACH) & (r >= LERCH_REACH * r1) & (r < math.inf)
+
+
+def _lerch_log(a: float, x: complex) -> complex | None:
+    """``t = Log x`` where x, near the circle, is within reach of the
+    expansion in t at ``a``: ``|t| <= LERCH_T`` and ``a |t| <= LERCH_AT``."""
+    t = cmath.log(x)
+    return t if abs(t) <= LERCH_T and a * abs(t) <= LERCH_AT else None
 
 
 def f21(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
@@ -170,11 +196,10 @@ def f21(hp: HypergeomParams, z: complex, tol: float = 1e-13) -> Result:
     and Re z >= 1/2 are rejected.
     """
     z = complex(z)
-    if abs(z) <= 0.5:
-        return f21_series(hp, z, tol)
-    if z.real < 0.5 and abs(z - 1.0) > 1.0:
+    r = abs(z)
+    if _takes_pfaff(z, r, abs(z - 1.0)):
         return f21_pfaff(hp, z, tol)
-    if abs(z) < 1.0:
+    if r < 1.0:
         return f21_series(hp, z, tol)
     raise DomainError(
         f"2F1 argument z = {z} outside the supported region (|z| < 1 or Re z < 1/2)"
@@ -284,13 +309,87 @@ def f21_lerch(beta: float, x: complex, tol: float = 1e-13) -> Result:
     ``f21(HypergeomParams(1, beta + 1, beta + 2), x)``, whose parameters are
     each rounded once.
     """
+    beta = _lerch_beta(beta)
+    x = complex(x)
+    a = beta + 1.0
+    t = _lerch_log(a, x) if _near_circle(abs(x), abs(x - 1.0)) else None
+    if t is not None:
+        return _lerch_expansion(a, x, t, tol)
+    return f21(HypergeomParams(1.0, a, beta + 2.0), x, tol)
+
+
+def _lerch_beta(beta: float) -> float:
+    """``beta`` as a float, or ParameterError unless ``-1 < beta < inf``."""
     beta = float(beta)
     if not -1.0 < beta < math.inf:  # NaN included
         raise ParameterError(f"F_a needs a finite a = beta + 1 > 0, got beta = {beta}")
-    x = complex(x)
-    a = beta + 1.0
-    if abs(x) >= LERCH_REACH * max(1.0, abs(x - 1.0)) and cmath.isfinite(x):
-        t = cmath.log(x)
-        if abs(t) <= LERCH_T and a * abs(t) <= LERCH_AT:
-            return _lerch_expansion(a, x, t, tol)
-    return f21(HypergeomParams(1.0, a, beta + 2.0), x, tol)
+    return beta
+
+
+def f21_lerch_all(beta: float, x: np.ndarray, tol: float = 1e-13
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`f21_lerch` at each point of the 1-D complex array ``x``, as
+    arrays ``(values, est_errors, terms)``: each point takes the route and has
+    the bits of its scalar call.
+
+    Points are routed by the tests ``f21_lerch`` and ``f21`` make.  Those of
+    the expansion are summed one by one; Pfaff's argument and factor are
+    formed per point, as ``f21_pfaff`` forms them; the series points and
+    Pfaff's inner series are summed together by ``ratio_sum_all``, from real
+    term ratios rounded as the scalar ratio rounds them.  Where points fail,
+    the scalar call at the first of them in input order raises its error.
+    """
+    beta = _lerch_beta(beta)
+    hp = HypergeomParams(1.0, beta + 1.0, beta + 2.0)
+    a, c = hp.b.real, hp.c.real
+    r, r1 = np.hypot(x.real, x.imag), np.hypot(x.real - 1.0, x.imag)
+    value, est = np.zeros(x.size, dtype=complex), np.zeros(x.size)
+    terms = np.zeros(x.size, dtype=int)  # stays 0 where the scalar call raises
+    pfaff = _takes_pfaff(x, r, r1)
+    summed = pfaff | (r < 1.0)  # less the expansion's points and Pfaff's failures
+    for i in _near_circle(r, r1).nonzero()[0].tolist():
+        t = _lerch_log(a, complex(x[i]))
+        if t is not None:
+            summed[i] = pfaff[i] = False
+            with suppress(NumericsError):
+                value[i], est[i], terms[i] = _lerch_expansion(a, complex(x[i]), t, tol)
+    # Each summed series' argument and b: x and b, or Pfaff's w and c - b.
+    points, bs = x.copy(), np.array([[a], [(hp.c - hp.b).real]])
+    for i in pfaff.nonzero()[0].tolist():
+        try:
+            points[i] = _pfaff_argument(complex(x[i]))
+        except DomainError:
+            summed[i] = pfaff[i] = False
+    summed = summed.nonzero()[0]
+    points, kind = points[summed], pfaff[summed].astype(int)
+
+    def ratio(rows: np.ndarray, n: np.ndarray, looped: np.ndarray) -> np.ndarray:
+        # f21_series's (a + n)(b + n) / ((c + n)(n + 1)) z at a = 1, real b and
+        # c: the quotient in its loop, a product with 1/den in numpy's complex
+        # division, times z as CPython and numpy multiply by complex(q, 0).
+        num, den = (1.0 + n) * (bs + n), (c + n) * (n + 1.0)
+        q = (num / den)[kind[rows]]
+        if not looped.all():
+            q = np.where(looped, q, (num * (1.0 / den))[kind[rows]])
+        z = points[rows, None]
+        out = np.empty(q.shape, dtype=complex)
+        np.multiply(q, z.real, out=out.real)
+        out.real -= 0.0 * z.imag
+        np.multiply(q, z.imag, out=out.imag)
+        out.imag += 0.0 * z.real
+        return out
+
+    value[summed], est[summed], terms[summed] = ratio_sum_all(
+        1 + 0j, ratio, np.hypot(points.real, points.imag), tol)
+    for i in (pfaff & (terms > 0)).nonzero()[0].tolist():
+        z = complex(x[i])
+        try:
+            value[i], est[i], terms[i] = scaled(cpow(1.0 - z, -hp.a), power_rtol(1.0 - z, -hp.a),
+                                                (complex(value[i]), float(est[i]), int(terms[i])))
+        except NumericsError:
+            terms[i] = 0
+    if not terms.all():
+        first = complex(x[terms.argmin()])
+        f21_lerch(beta, first, tol)  # raises that point's error
+        raise ConvergenceError(f"F_a at x = {first} failed in an array but not alone")
+    return value, est, terms

@@ -7,14 +7,16 @@ was actually computed.  All values are immutable and all operations are pure.
 
 ``ratio_sum`` is the one loop that sums an infinite series from its first term
 and term ratio, with a bound on its own error, and sums a long one's tail in
-numpy blocks from that ratio over index arrays; ``scaled`` applies a factor.
+numpy blocks from that ratio over index arrays; ``ratio_sum_all`` sums the
+series of many points in those blocks, each with a leading axis of points and
+each point with the bits of its ``ratio_sum``; ``scaled`` applies a factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +32,10 @@ BLOCK_TERMS = 4096
 Result = tuple[complex, float, int]
 #: A term ratio at an ``int`` index or over an integer array of indices.
 Ratio = Callable[[int | np.ndarray], complex | np.ndarray]
+#: The ratios of the points ``rows`` at the indices ``n``, one row per point,
+#: rounded where ``looped`` (rows x indices, or a single True) is true as
+#: ``ratio_sum``'s loop rounds them and elsewhere as its numpy blocks do.
+RowsRatio = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 #: Where a sum stops: the index n, ``ratio(n)`` and ``|t_(n+1)|``.
 Stop = tuple[int, complex, float]
 
@@ -122,19 +128,16 @@ def ratio_sum(first: complex, ratio: Ratio, rho: float, tol: float, start: int =
     gap = 1.0 - rho
     term = complex(first)
     state = [term, term, abs(term)]  # the last term, the sum and sum |t_n| so far
-    n = SCALAR_TERMS
-    stop = _one_by_one(ratio, 0, n, state, gap, tol, start)
-    block = 0
-    while stop is None and n < MAX_TERMS:
-        block = 2 * block if block else _first_block(abs(state[0]), rho, gap, tol)
-        m = min(block, BLOCK_TERMS, MAX_TERMS - n)
+    stop = _one_by_one(ratio, 0, SCALAR_TERMS, state, gap, tol, start)
+    for n, m in () if stop is not None else _blocks(abs(state[0]), rho, gap, tol):
         # A numpy block costs about as much as 100 terms of the loop, so a
         # short one runs in the loop; a block that meets a value that is not
         # finite (a pole's among them) is summed again by the loop, to raise.
-        stop = _in_block(ratio, n, m, state, gap, tol, start) if m > 2 * SCALAR_TERMS else False
+        stop = _one_block(ratio, n, m, state, gap, tol, start) if m > 2 * SCALAR_TERMS else False
         if stop is False:
             stop = _one_by_one(ratio, n, n + m, state, gap, tol, start)
-        n += m
+        if stop is not None:
+            break
     if stop is None:
         raise ConvergenceError(f"series did not reach tol={tol:g} within {MAX_TERMS} terms")
     n, r, mag = stop
@@ -145,6 +148,78 @@ def ratio_sum(first: complex, ratio: Ratio, rho: float, tol: float, start: int =
         raise ConvergenceError(f"no correct digit: error bound {est:g} >= |sum| "
                                f"{abs(total):g} after {n + 2} terms")
     return total, est, n + 2
+
+
+def ratio_sum_all(first: complex, ratio: RowsRatio, rho: np.ndarray, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`ratio_sum` at each point of a 1-D array of ``rho``, all from the
+    same ``first`` term and with ``start`` 0, as arrays ``(sums, est_errors,
+    terms)``.  Each point
+    stops at the term and has the bits of its own ``ratio_sum``; where that
+    raises, its ``terms`` is 0 and its sum and bound are not to be read.
+
+    ``ratio`` is a :data:`RowsRatio` (its ``rows`` an index array or a
+    slice of the points): ``ratio_sum`` takes a point's terms in
+    its loop up to SCALAR_TERMS and, past them, in the numpy blocks that
+    ``_blocks`` lists for it, which round differently.  The live points are
+    summed together a block of indices at a time, the first as long as
+    ``ratio_sum``'s first block for the largest ``rho`` but ending by
+    SCALAR_TERMS, each next one twice as long, in rows of at most BLOCK_TERMS
+    terms, so memory stays bounded; a point leaves the sum once it stops, and
+    fails once it reaches MAX_TERMS.
+    """
+    if not tol > 0.0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
+    rho = np.asarray(rho, dtype=float)
+    inside = (0.0 <= rho) & (rho < 1.0)  # NaN excluded
+    if not inside.all():
+        raise ParameterError(f"rho must lie in [0, 1), got {float(rho[inside.argmin()])}")
+    gap = 1.0 - rho
+    term = np.full(rho.size, complex(first))
+    total, size = term.copy(), np.full(rho.size, abs(complex(first)))
+    stop_n = np.full(rho.size, -1)
+    stop_r, stop_mag = np.zeros(rho.size, dtype=complex), np.zeros(rho.size)
+    blocked = np.zeros((rho.size, 2), dtype=int)  # [first, last + 1) summed in numpy blocks
+    live = np.arange(rho.size)
+    # The first block is as long as ratio_sum's first would be for the slowest point.
+    n0, m = 0, _first_block(abs(complex(first)), rho.max(initial=0.0), gap.min(initial=1.0), tol)
+    with np.errstate(all="ignore"):
+        while live.size and n0 < MAX_TERMS:
+            m = min(m, BLOCK_TERMS, MAX_TERMS - n0,
+                    SCALAR_TERMS - n0 if n0 < SCALAR_TERMS else MAX_TERMS)
+            n = np.arange(n0, n0 + m)
+            chunks = -(-live.size * m // BLOCK_TERMS)
+            for rows in (np.array_split(live, chunks) if chunks > 1
+                         else (live if live.size < rho.size else slice(None),)):
+                looped = (np.True_ if n0 + m <= SCALAR_TERMS
+                          else (n < blocked[rows, :1]) | (n >= blocked[rows, 1:]))
+                (term[rows], total[rows], size[rows]), stop_n[rows], stop_r[rows], stop_mag[rows] = (
+                    _in_block(ratio(rows, n, looped), n, (term[rows], total[rows], size[rows]),
+                              gap[rows], tol, 0))
+            n0 += m
+            live = live[stop_n[live] == -1]
+            if n0 == SCALAR_TERMS:
+                for p in live.tolist():
+                    spans = [(k, k + j) for k, j in _blocks(abs(term[p]), rho[p], gap[p], tol)
+                             if j > 2 * SCALAR_TERMS]
+                    blocked[p] = (spans[0][0], spans[-1][1]) if spans else (0, 0)
+            m *= 2
+        last = np.maximum(np.hypot(stop_r.real, stop_r.imag), rho)
+        est = gamma_n(8 * (stop_n + 1)) * size + stop_mag * last / (1.0 - last)
+        right = (est == 0.0) | (est < np.hypot(total.real, total.imag))
+    return total, est, np.where((stop_n >= 0) & right, stop_n + 2, 0)
+
+
+def _blocks(mag: float, rho: float, gap: float, tol: float) -> Iterator[tuple[int, int]]:
+    """``ratio_sum``'s blocks past its first SCALAR_TERMS terms, as ``(first
+    index, length)``, from ``|t_n|`` = ``mag`` there: the first as long as
+    ``_first_block`` says, each next one twice as long, within BLOCK_TERMS."""
+    n, block = SCALAR_TERMS, _first_block(mag, rho, gap, tol)
+    while n < MAX_TERMS:
+        m = min(block, BLOCK_TERMS, MAX_TERMS - n)
+        yield n, m
+        n += m
+        block *= 2
 
 
 def _one_by_one(ratio: Ratio, n0: int, n1: int, state: list, gap: float, tol: float,
@@ -184,32 +259,60 @@ def _first_block(mag: float, rho: float, gap: float, tol: float) -> int:
     return guess + guess // 4 + 16
 
 
-def _in_block(ratio: Ratio, n0: int, m: int, state: list, gap: float, tol: float,
-              start: int) -> Stop | None | bool:
-    """``_one_by_one(ratio, n0, n0 + m, ...)`` in numpy, over the index array.
-
-    Complex ``multiply.accumulate`` and ``add.accumulate`` take the terms in
-    the loop's order, and ``hypot`` rounds as ``abs``.  Returns False, with
-    ``state`` untouched, when before the stop a ratio or ``sum |t_n|`` is not
-    finite.
-    """
+def _one_block(ratio: Ratio, n0: int, m: int, state: list, gap: float, tol: float,
+               start: int) -> Stop | None | bool:
+    """``_one_by_one(ratio, n0, n0 + m, ...)`` as ``_in_block`` of one point.
+    Returns False, with ``state`` untouched, when before the stop a ratio or
+    ``sum |t_n|`` is not finite."""
     n = np.arange(n0, n0 + m)
     with np.errstate(all="ignore"):
-        r = np.broadcast_to(ratio(n), n.shape)
-        terms = np.multiply.accumulate(np.append(state[0], r))
-        mag = np.hypot(terms.real, terms.imag)
-        mag[0] = state[2]
-        size = np.add.accumulate(mag)  # mag[1:] stays |t_n|
-        rmag = np.hypot(r.real, r.imag)
-        stops = (mag[1:] / gap < tol) & (n >= start) & (rmag < 1.0)
-        hits = np.flatnonzero(stops)
-        i = int(hits[0]) if hits.size else m - 1
-        if not (size[i + 1] < math.inf and rmag[:i + 1].max() < math.inf):
-            return False
-        terms[0] = state[1]
-        total = np.add.accumulate(terms[:i + 2])[-1]
-    state[:] = complex(terms[i + 1]), complex(total), float(size[i + 1])
-    return (n0 + i, complex(r[i]), float(mag[i + 1])) if hits.size else None
+        new, at, r_at, mag_at = _in_block(np.broadcast_to(ratio(n), n.shape)[None], n,
+                                          tuple(np.array([v]) for v in state), np.array([gap]),
+                                          tol, start)
+    if at[0] == -2:
+        return False
+    state[:] = complex(new[0][0]), complex(new[1][0]), float(new[2][0])
+    return (int(at[0]), complex(r_at[0]), float(mag_at[0])) if at[0] >= 0 else None
+
+
+def _in_block(r: np.ndarray, n: np.ndarray, state: tuple[np.ndarray, np.ndarray, np.ndarray],
+              gap: np.ndarray, tol: float, start: int) -> tuple:
+    """``_one_by_one`` over the indices ``n`` in numpy, for a leading axis of
+    points: ``r`` holds their ratios there, one row per point, and the last
+    term, sum and ``sum |t_n|`` of ``state`` and ``gap`` one entry per point.
+    Its caller ignores numpy's floating-point warnings.
+
+    Complex ``multiply.accumulate`` and ``add.accumulate`` along a row take
+    the terms in the loop's order and round as it does, and ``hypot`` rounds
+    as ``abs``.  Returns the state at each point's stop, or at the end of the
+    block, and per point the index it stops at (-1 for none in the block, -2
+    where before it a ratio or ``sum |t_n|`` is not finite), with the ratio
+    and ``|t_(n+1)|`` there.
+    """
+    term, total, size = state
+    rows = np.arange(r.shape[0])
+    terms = np.concatenate((term[:, None], r), axis=1)
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    mag = np.hypot(terms.real, terms.imag)
+    mag[:, 0] = size
+    sizes = np.add.accumulate(mag, axis=1)  # mag[:, 1:] stays |t_n|
+    rmag = np.hypot(r.real, r.imag)
+    small = mag[:, 1:] / gap[:, None] < tol
+    small &= rmag < 1.0
+    if start > n[0]:
+        small &= n >= start
+    i = small.argmax(axis=1)
+    hit = small[rows, i]
+    i[~hit] = n.size - 1
+    j = i + 1
+    finite = sizes[rows, j] < math.inf
+    if not rmag.max(initial=0.0) < math.inf:  # a ratio's modulus is not finite somewhere
+        finite &= np.maximum.accumulate(rmag, axis=1)[rows, i] < math.inf
+    last = terms[rows, j]
+    terms[:, 0] = total
+    at = np.where(finite, np.where(hit, n[0] + i, -1), -2)
+    return ((last, np.add.accumulate(terms, axis=1)[rows, j], sizes[rows, j]), at, r[rows, i],
+            mag[rows, j])
 
 
 def scaled(factor: complex, rtol: float, result: Result) -> Result:

@@ -210,9 +210,9 @@ def run_dominant(seed: int = 0, trials: int = 10, tol: float = 1e-9) -> list[dic
             r = float(rng.uniform(0.05, 0.9))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             zs.append(r * cmath.exp(1j * theta))
-        worst = 0.0
-        for z, qz in zip(zs, best_dominant_q(dp, np.array(zs))[0].tolist()):
-            worst = max(worst, abs(sharp_bound_h(dp, z)[0] - qz))
+        zs = np.array(zs)
+        gap = sharp_bound_h(dp, zs)[0] - best_dominant_q(dp, zs)[0]
+        worst = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
         records.append(
             _record("dominant", f"agreement-{i:02d}", worst <= tol,
                     value=worst, tol=tol,
@@ -319,13 +319,15 @@ def run_re_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-8) -> list[di
 
 def run_modulus_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-5) -> list[dict]:
     """Monotone nesting of the modulus interval and its radial limit."""
-    grid = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
+    # The grid, the radial limit's radius and r = 1, where the bounds are re_bounds.
+    radii = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0])
     records = []
     for i in range(trials):
         rng = _rng(seed, 1, i)
         dp = _random_dominant(rng, b_low=-0.5, b_high=0.5, beta_low=0.2,
                               beta_high=0.8)
-        intervals = [modulus_bounds(dp, r) for r in grid]
+        *intervals, (lo_lim, up_lim), (lo_re, up_re) = zip(*(v.tolist() for v in
+                                                             modulus_bounds(dp, radii)))
         monotone = all(
             l2 <= l1 + 1e-12 and u1 <= u2 + 1e-12
             for (l1, u1), (l2, u2) in zip(intervals, intervals[1:])
@@ -335,8 +337,6 @@ def run_modulus_bounds(seed: int = 0, trials: int = 10, tol: float = 1e-5) -> li
                     value=0.0 if monotone else 1.0, tol=0.0,
                     params=_params(dp))
         )
-        lo_lim, up_lim = modulus_bounds(dp, 1.0 - 1e-6)
-        lo_re, up_re = re_bounds(dp)
         value = max(abs(lo_lim - lo_re), abs(up_lim - up_re))
         records.append(
             _record("modulus-bounds", f"limit-{i:02d}", value <= tol,

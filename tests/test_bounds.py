@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ from struveops import (
     DominantParams,
     DomainError,
     MobiusTarget,
+    NumericsError,
     ParameterError,
     best_dominant_q,
     mobius_image_check,
@@ -266,6 +269,117 @@ class TestSharpBoundH:
     def test_nan_point_is_domain_error(self, z, B):
         with pytest.raises(DomainError, match="sharp bound defined on"):
             sharp_bound_h(dominant(1.0, B, 1.0), z)
+
+
+def outcome(f, *args):
+    """``repr`` of each part of a result, or the type and message of its error."""
+    try:
+        return tuple(repr(v) for v in f(*args))
+    except NumericsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSharpBoundHArrays:
+    """An array of z is summed in numpy blocks: each point keeps the route,
+    value, error bound and term count of its scalar call."""
+
+    @staticmethod
+    def mixed_points(B, rng):
+        # Every route of F_a at x = -Bz: the series (a long one at |x| near
+        # 0.9, which the scalar call sums in numpy blocks), Pfaff, the
+        # expansion next to the circle (at B = -1) and z = 0.
+        points = [0.0, 0.05j, 0.89, -0.89, 0.88j, 0.6 - 0.6j, complex(-0.7, 0.3)]
+        points += [(1.0 - d) * cmath.exp(1j * t) for d in (1e-2, 1e-4, 1e-6, 1e-8)
+                   for t in (0.0, 0.3, -1.0)]
+        points += [r * cmath.exp(1j * t) for r, t in
+                   zip(rng.uniform(0.0, 0.999, 40), rng.uniform(0.0, 2.0 * math.pi, 40))]
+        return points
+
+    @pytest.mark.parametrize("B", [-1.0, -0.95, -0.5, 0.0, 0.3, 0.9])
+    def test_array_matches_scalar_calls_repr_for_repr(self, B):
+        rng = np.random.default_rng(int(1000 * (B + 2.0)))
+        routes = set()
+        for beta in (0.05, 1.0, float(rng.uniform(0.25, 2.5)), 4.0):
+            dp = dominant(float(rng.uniform(B + 0.01, 1.0)), B, beta)
+            zs = self.mixed_points(B, rng)
+            if B == -1.0:
+                routes.update(route(beta, -B * z) for z in zs)
+            expected = [outcome(sharp_bound_h, dp, z) for z in zs]
+            assert all(len(e) == 3 for e in expected)  # no scalar call raises here
+            values, est, terms = sharp_bound_h(dp, np.array(zs))
+            assert values.dtype == np.complex128 and values.shape == (len(zs),)
+            assert list(zip(*([repr(v) for v in a.tolist()] for a in (values, est, terms)))) == expected
+        if B == -1.0:
+            assert routes == {"series", "blocks", "pfaff", "expansion"}
+
+    def test_shape_kept(self):
+        dp = dominant(0.7, -0.4, 1.3)
+        grid = np.array([[0.1, 0.2j, 0.0], [-0.3, 0.4 + 0.1j, 0.899]])
+        values, est, terms = sharp_bound_h(dp, grid)
+        assert values.shape == est.shape == terms.shape == (2, 3)
+        assert [repr(v) for v in values.ravel().tolist()] == [
+            repr(sharp_bound_h(dp, z)[0]) for z in grid.ravel().tolist()]
+        assert type(sharp_bound_h(dp, np.complex128(0.5j))[0]) is complex
+        assert type(sharp_bound_h(dp, np.array(0.5j))[0]) is complex
+        assert sharp_bound_h(dp, np.zeros((0, 4)))[0].shape == (0, 4)
+
+    @pytest.mark.parametrize("B", [-1.0, 0.0, 0.5])
+    def test_domain_error_names_first_point_outside_in_input_order(self, B):
+        dp = dominant(1.0, B, 1.0)
+        with pytest.raises(DomainError, match=r"\|z\| = 1\.5$"):
+            sharp_bound_h(dp, np.array([0.1, 0.5j, 1.5, 2.0, complex("nan")]))
+        with pytest.raises(DomainError, match=r"\|z\| = nan$"):
+            sharp_bound_h(dp, [0.1, complex(0.5, math.nan), 2.0])
+        with pytest.raises(DomainError, match=r"\|z\| = 1$"):
+            sharp_bound_h(dp, [[0.1, 0.2], [-1.0, 0.3]])
+
+    def test_first_failing_point_raises_its_scalar_error(self):
+        # At beta = 100 next to the circle the expansion does not apply and
+        # the series does not reach tol within MAX_TERMS terms; a point that
+        # is fine comes first, and the failing ones in input order after it.
+        dp = dominant(1.0, -1.0, 100.0)
+        zs = [0.5, 0.9999 * cmath.exp(0.3j), 0.99999 * cmath.exp(0.5j), 0.1j]
+        expected = outcome(sharp_bound_h, dp, zs[1])
+        assert expected[0] == "ConvergenceError"
+        assert outcome(sharp_bound_h, dp, np.array(zs)) == expected
+
+    def test_modulus_bounds_over_radii_match_scalar_calls(self):
+        rng = np.random.default_rng(72)
+        radii = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8, 1.0])
+        cases = [(0.5, -1.0, 1.0), (1.0, -1.0, 0.0), (0.3, 0.0, 0.7), (0.9, -0.999, 2.5)]
+        cases += [(float(rng.uniform(B, 1.0)), B, float(rng.uniform(0.0, 3.0)))
+                  for B in rng.uniform(-1.0, 0.99, 8).tolist()]
+        for A, B, beta in cases:
+            dp = dominant(A, B, beta)
+            lower, upper = modulus_bounds(dp, radii.reshape(3, 3))
+            assert lower.shape == upper.shape == (3, 3)
+            assert [(repr(lo), repr(up)) for lo, up in
+                    zip(lower.ravel().tolist(), upper.ravel().tolist())] == [
+                tuple(map(repr, modulus_bounds(dp, r))) for r in radii.tolist()]
+            if B == -1.0:
+                assert math.isinf(upper.flat[-1]) and np.isfinite(upper.flat[:-1]).all()
+
+    def test_modulus_bounds_name_the_first_radius_outside(self):
+        dp = dominant(0.5, 0.25, 1.0)
+        for radii, bad in (([0.5, -0.1, 1.5], "-0.1"), ([0.2, 1.0 + 1e-12], "1.000000000001"),
+                           ([0.3, math.nan, -1.0], "nan")):
+            with pytest.raises(ParameterError, match=rf"got {re.escape(bad)}$"):
+                modulus_bounds(dp, np.array(radii))
+
+
+def route(beta, x):
+    """Which route the scalar ``f21_lerch`` takes at x (``blocks``: the series
+    past its loop, in numpy blocks)."""
+    from struveops import hypergeom, series
+
+    a = beta + 1.0
+    if hypergeom._near_circle(abs(x), abs(x - 1.0)) and hypergeom._lerch_log(a, x) is not None:
+        return "expansion"
+    if hypergeom._takes_pfaff(x, abs(x), abs(x - 1.0)):
+        return "pfaff"
+    with mock.patch.object(series, "_in_block", wraps=series._in_block) as block:
+        hypergeom.f21_lerch(beta, x)
+    return "blocks" if block.called else "series"
 
 
 class TestLowerBoundHminus1:

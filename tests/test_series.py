@@ -17,7 +17,8 @@ from struveops import (
     ratio_sum,
 )
 from struveops import series
-from struveops.series import MAX_TERMS
+from struveops.hypergeom import HypergeomParams, f21_series
+from struveops.series import BLOCK_TERMS, MAX_TERMS
 
 finite_complex = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False, allow_subnormal=False
@@ -255,3 +256,51 @@ def test_blocks_match_the_loop(case, monkeypatch):
     else:
         assert blocks[2] == loop[2] > scalar_terms
         assert abs(blocks[0] - loop[0]) <= min(blocks[1], loop[1])
+
+
+def _rows_ratio(b, c, points):
+    """The ratio of ``f21_series`` at a = 1, real b and c, for ``ratio_sum_all``:
+    rounded as ``ratio_sum`` rounds f21_series's complex ratio, a quotient in
+    its loop and a product with 1/den (numpy's complex division) in its blocks."""
+    def ratio(rows, n, looped):
+        num, den = (1.0 + n) * (b + n), (c + n) * (n + 1.0)
+        q = np.where(looped, num / den, num * (1.0 / den))
+        z = points[rows, None]
+        out = np.empty(np.broadcast_shapes(q.shape, z.shape), dtype=complex)
+        out.real, out.imag = q * z.real - 0.0 * z.imag, q * z.imag + 0.0 * z.real
+        return out
+    return ratio
+
+
+@pytest.mark.parametrize("block_terms", [BLOCK_TERMS, 256])
+def test_ratio_sum_all_has_the_bits_of_each_ratio_sum(block_terms, monkeypatch):
+    # Points from 2 terms to past MAX_TERMS (5,000 here): short sums in the
+    # loop, long ones in numpy blocks, and sums that reach the cap, whose
+    # terms read 0.  256 terms a block splits the live points into rows.
+    monkeypatch.setattr(series, "MAX_TERMS", 5000)
+    monkeypatch.setattr(series, "BLOCK_TERMS", block_terms)
+    rng = np.random.default_rng(91)
+    radii = np.concatenate(([0.0, 0.3, 0.9, 0.99, 0.999, 0.9999], rng.uniform(0.0, 0.999, 60)))
+    points = radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, radii.size))
+    b, c = 1.7, 2.7
+    sums, est, terms = series.ratio_sum_all(1 + 0j, _rows_ratio(b, c, points),
+                                            np.hypot(points.real, points.imag), 1e-13)
+    capped = 0
+    for z, value, bound, n in zip(points.tolist(), sums.tolist(), est.tolist(), terms.tolist()):
+        try:
+            expected = f21_series(HypergeomParams(1.0, b, c), z)
+        except ConvergenceError:
+            assert n == 0
+            capped += 1
+            continue
+        assert (repr(value), repr(bound), n) == tuple(map(repr, expected[:2])) + (expected[2],)
+    assert capped >= 1 and max(terms) > 3 * series.SCALAR_TERMS
+
+
+def test_ratio_sum_all_checks_its_arguments():
+    with pytest.raises(ParameterError, match=r"rho must lie in \[0, 1\), got 1.5"):
+        series.ratio_sum_all(1 + 0j, None, np.array([0.5, 1.5, -1.0]), 1e-13)
+    with pytest.raises(ParameterError, match="tol must be > 0"):
+        series.ratio_sum_all(1 + 0j, None, np.array([0.5]), 0.0)
+    sums, est, terms = series.ratio_sum_all(1 + 0j, None, np.array([]), 1e-13)
+    assert sums.shape == est.shape == terms.shape == (0,)

@@ -146,3 +146,23 @@ def test_hypergeom_suite_builds_each_rung_once(monkeypatch):
     assert all(r["passed"] for r in records)
     assert builds[:2] == [(16, 50), (32, 50)]
     assert [n for n, _ in builds] == quadrature._ladder(128)[:len(builds)]
+
+
+@pytest.mark.parametrize("suite", ["dominant", "modulus-bounds"])
+def test_suite_evaluates_h_once_per_trial(suite, monkeypatch):
+    # The 50 agreement points of a dominant trial, and the 8 radii (16 ends)
+    # of a modulus-bounds trial, go to the closed form as one array.
+    from struveops import bounds
+    from struveops.suites import SUITES
+
+    calls = []
+    closed_form = bounds._closed_form
+
+    def counted(dp, z, tol=1e-13):
+        calls.append(np.shape(z))
+        return closed_form(dp, z, tol)
+
+    monkeypatch.setattr(bounds, "_closed_form", counted)
+    records = SUITES[suite](seed=1)
+    assert all(r["passed"] for r in records)
+    assert calls == [(50,) if suite == "dominant" else (16,)] * 10
