@@ -330,7 +330,8 @@ def f21_lerch_all(beta: float, x: np.ndarray, tol: float = 1e-13
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`f21_lerch` at each point of the 1-D complex array ``x``, as
     arrays ``(values, est_errors, terms)``: each point takes the route and has
-    the bits of its scalar call.
+    the bits of its scalar call.  ``bounds._closed_form`` calls it from
+    ``bounds._ARRAY_POINTS`` points on, where it beats a loop of scalar calls.
 
     Points are routed by the tests ``f21_lerch`` and ``f21`` make.  Those of
     the expansion are summed one by one; Pfaff's argument and factor are

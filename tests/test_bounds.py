@@ -25,6 +25,7 @@ from struveops import (
     re_zqprime_over_q,
     sharp_bound_h,
 )
+from struveops import bounds
 from struveops.series import gamma_n
 from struveops.suites import _bound_integral
 
@@ -297,20 +298,44 @@ class TestSharpBoundHArrays:
 
     @pytest.mark.parametrize("B", [-1.0, -0.95, -0.5, 0.0, 0.3, 0.9])
     def test_array_matches_scalar_calls_repr_for_repr(self, B):
+        # Whole arrays sum F in numpy blocks; the prefixes take both sides of
+        # the point count at which _closed_form switches from its loop.
         rng = np.random.default_rng(int(1000 * (B + 2.0)))
         routes = set()
         for beta in (0.05, 1.0, float(rng.uniform(0.25, 2.5)), 4.0):
             dp = dominant(float(rng.uniform(B + 0.01, 1.0)), B, beta)
-            zs = self.mixed_points(B, rng)
+            points = self.mixed_points(B, rng)
             if B == -1.0:
-                routes.update(route(beta, -B * z) for z in zs)
-            expected = [outcome(sharp_bound_h, dp, z) for z in zs]
-            assert all(len(e) == 3 for e in expected)  # no scalar call raises here
-            values, est, terms = sharp_bound_h(dp, np.array(zs))
-            assert values.dtype == np.complex128 and values.shape == (len(zs),)
-            assert list(zip(*([repr(v) for v in a.tolist()] for a in (values, est, terms)))) == expected
+                routes.update(route(beta, -B * z) for z in points)
+            for size in (1, 2, bounds._ARRAY_POINTS - 1, bounds._ARRAY_POINTS, len(points)):
+                zs = points[:size]
+                expected = [outcome(sharp_bound_h, dp, z) for z in zs]
+                assert all(len(e) == 3 for e in expected)  # no scalar call raises here
+                values, est, terms = sharp_bound_h(dp, np.array(zs))
+                assert values.dtype == np.complex128 and values.shape == (len(zs),)
+                assert list(zip(*([repr(v) for v in a.tolist()] for a in (values, est, terms)))) == expected
         if B == -1.0:
             assert routes == {"series", "blocks", "pfaff", "expansion"}
+
+    def test_f21_lerch_all_runs_once_from_array_points(self, monkeypatch):
+        calls = []
+        lerch_all = bounds.f21_lerch_all
+
+        def counted(beta, x, tol=1e-13):
+            calls.append(x.shape)
+            return lerch_all(beta, x, tol)
+
+        monkeypatch.setattr(bounds, "f21_lerch_all", counted)
+        dp = dominant(0.7, -0.4, 1.3)
+        zs = 0.8 * np.exp(1j * np.linspace(0.0, 6.0, 50))
+        sharp_bound_h(dp, zs)
+        assert calls == [(50,)]
+        for size in (1, 2, bounds._ARRAY_POINTS - 1):
+            sharp_bound_h(dp, zs[:size])
+        sharp_bound_h(dp, 0.5j)
+        modulus_bounds(dp, np.array([0.2, 0.5]))
+        re_bounds(dp)
+        assert calls == [(50,)]
 
     def test_shape_kept(self):
         dp = dominant(0.7, -0.4, 1.3)
@@ -593,6 +618,7 @@ class TestModulusBounds:
     def test_b_zero_carries_radius(self):
         lower, upper = modulus_bounds(dominant(1.0, 0.0, 1.0), 0.5)
         assert (lower, upper) == (0.75, 1.25)
+        assert type(lower) is float and type(upper) is float
 
     def test_limit_matches_re_bounds(self):
         dp = dominant(1.0, 0.0, 1.0)
@@ -619,6 +645,7 @@ class TestModulusBounds:
     def test_half_plane_unbounded_only_at_r_one(self):
         dp = dominant(0.5, -1.0, 1.0)
         assert math.isinf(modulus_bounds(dp, 1.0)[1])
+        assert re_bounds(dp)[1] == math.inf
         assert math.isfinite(modulus_bounds(dp, 0.9)[1])
 
 

@@ -148,10 +148,11 @@ def test_hypergeom_suite_builds_each_rung_once(monkeypatch):
     assert [n for n, _ in builds] == quadrature._ladder(128)[:len(builds)]
 
 
-@pytest.mark.parametrize("suite", ["dominant", "modulus-bounds"])
+@pytest.mark.parametrize("suite", ["dominant", "modulus-bounds", "re-bounds"])
 def test_suite_evaluates_h_once_per_trial(suite, monkeypatch):
-    # The 50 agreement points of a dominant trial, and the 8 radii (16 ends)
-    # of a modulus-bounds trial, go to the closed form as one array.
+    # The 50 agreement points of a dominant trial, the 8 radii (16 ends) of a
+    # modulus-bounds trial and the two ends of a re-bounds trial go to the
+    # closed form as one array.
     from struveops import bounds
     from struveops.suites import SUITES
 
@@ -165,4 +166,4 @@ def test_suite_evaluates_h_once_per_trial(suite, monkeypatch):
     monkeypatch.setattr(bounds, "_closed_form", counted)
     records = SUITES[suite](seed=1)
     assert all(r["passed"] for r in records)
-    assert calls == [(50,) if suite == "dominant" else (16,)] * 10
+    assert calls == [{"dominant": (50,), "modulus-bounds": (16,), "re-bounds": (2,)}[suite]] * 10
