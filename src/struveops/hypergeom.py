@@ -25,12 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericsError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .quadrature import settle
 from .series import Result, gamma_n, ratio_sum, ratio_sum_all, scaled
 from .specialfn import (EULER_GAMMA, GAMMA_RTOL, bernoulli_ratios, cpow, digamma, gamma,
@@ -333,46 +332,33 @@ def f21_lerch_all(beta: float, x: np.ndarray, tol: float = 1e-13
     the bits of its scalar call.  ``bounds._closed_form`` calls it from
     ``bounds._ARRAY_POINTS`` points on, where it beats a loop of scalar calls.
 
-    Points are routed by the tests ``f21_lerch`` and ``f21`` make.  Those of
-    the expansion are summed one by one; Pfaff's argument and factor are
-    formed per point, as ``f21_pfaff`` forms them; the series points and
-    Pfaff's inner series are summed together by ``ratio_sum_all``, from real
-    term ratios rounded as the scalar ratio rounds them.  Where points fail,
-    the scalar call at the first of them in input order raises its error.
+    The points of the series and of Pfaff away from the unit circle (not
+    ``_near_circle``), routed by the test ``f21`` makes, have the first
+    ``series.SCALAR_TERMS`` terms of their series summed together by one
+    ``ratio_sum_all`` call, from real term ratios rounded as the scalar loop
+    rounds them; Pfaff's argument and factor are formed per point, as
+    ``f21_pfaff`` forms them.  Every other point, a longer sum or a failure
+    among them, is its own ``f21_lerch`` call, in input order, so the first
+    failing point raises its scalar error.
     """
     beta = _lerch_beta(beta)
     hp = HypergeomParams(1.0, beta + 1.0, beta + 2.0)
     a, c = hp.b.real, hp.c.real
     r, r1 = np.hypot(x.real, x.imag), np.hypot(x.real - 1.0, x.imag)
-    value, est = np.zeros(x.size, dtype=complex), np.zeros(x.size)
-    terms = np.zeros(x.size, dtype=int)  # stays 0 where the scalar call raises
     pfaff = _takes_pfaff(x, r, r1)
-    summed = pfaff | (r < 1.0)  # less the expansion's points and Pfaff's failures
-    for i in _near_circle(r, r1).nonzero()[0].tolist():
-        t = _lerch_log(a, complex(x[i]))
-        if t is not None:
-            summed[i] = pfaff[i] = False
-            with suppress(NumericsError):
-                value[i], est[i], terms[i] = _lerch_expansion(a, complex(x[i]), t, tol)
+    # Pfaff's w is NaN at an infinite x, which its own call rejects.
+    summed = ((pfaff | (r < 1.0)) & (r < math.inf) & ~_near_circle(r, r1)).nonzero()[0]
     # Each summed series' argument and b: x and b, or Pfaff's w and c - b.
-    points, bs = x.copy(), np.array([[a], [(hp.c - hp.b).real]])
-    for i in pfaff.nonzero()[0].tolist():
-        try:
-            points[i] = _pfaff_argument(complex(x[i]))
-        except DomainError:
-            summed[i] = pfaff[i] = False
-    summed = summed.nonzero()[0]
-    points, kind = points[summed], pfaff[summed].astype(int)
+    kind = pfaff[summed].astype(int)
+    points = np.array([_pfaff_argument(z) if p else z
+                       for z, p in zip(x[summed].tolist(), kind.tolist())], dtype=complex)
+    bs = np.array([[a], [(hp.c - hp.b).real]])
 
-    def ratio(rows: np.ndarray, n: np.ndarray, looped: np.ndarray) -> np.ndarray:
+    def ratio(n: np.ndarray) -> np.ndarray:
         # f21_series's (a + n)(b + n) / ((c + n)(n + 1)) z at a = 1, real b and
-        # c: the quotient in its loop, a product with 1/den in numpy's complex
-        # division, times z as CPython and numpy multiply by complex(q, 0).
-        num, den = (1.0 + n) * (bs + n), (c + n) * (n + 1.0)
-        q = (num / den)[kind[rows]]
-        if not looped.all():
-            q = np.where(looped, q, (num * (1.0 / den))[kind[rows]])
-        z = points[rows, None]
+        # c: the quotient of its loop, times z as CPython multiplies by complex(q, 0).
+        q = ((1.0 + n) * (bs + n) / ((c + n) * (n + 1.0)))[kind]
+        z = points[:, None]
         out = np.empty(q.shape, dtype=complex)
         np.multiply(q, z.real, out=out.real)
         out.real -= 0.0 * z.imag
@@ -380,17 +366,14 @@ def f21_lerch_all(beta: float, x: np.ndarray, tol: float = 1e-13
         out.imag += 0.0 * z.real
         return out
 
+    value, est = np.zeros(x.size, dtype=complex), np.zeros(x.size)
+    terms = np.zeros(x.size, dtype=int)
     value[summed], est[summed], terms[summed] = ratio_sum_all(
         1 + 0j, ratio, np.hypot(points.real, points.imag), tol)
     for i in (pfaff & (terms > 0)).nonzero()[0].tolist():
         z = complex(x[i])
-        try:
-            value[i], est[i], terms[i] = scaled(cpow(1.0 - z, -hp.a), power_rtol(1.0 - z, -hp.a),
-                                                (complex(value[i]), float(est[i]), int(terms[i])))
-        except NumericsError:
-            terms[i] = 0
-    if not terms.all():
-        first = complex(x[terms.argmin()])
-        f21_lerch(beta, first, tol)  # raises that point's error
-        raise ConvergenceError(f"F_a at x = {first} failed in an array but not alone")
+        value[i], est[i], terms[i] = scaled(cpow(1.0 - z, -hp.a), power_rtol(1.0 - z, -hp.a),
+                                            (complex(value[i]), float(est[i]), int(terms[i])))
+    for i in (terms == 0).nonzero()[0].tolist():
+        value[i], est[i], terms[i] = f21_lerch(beta, complex(x[i]), tol)
     return value, est, terms

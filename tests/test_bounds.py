@@ -281,8 +281,9 @@ def outcome(f, *args):
 
 
 class TestSharpBoundHArrays:
-    """An array of z is summed in numpy blocks: each point keeps the route,
-    value, error bound and term count of its scalar call."""
+    """An array of z sums the first terms of its short series together and
+    every other point by its scalar call: each point keeps the route, value,
+    error bound and term count of that call."""
 
     @staticmethod
     def mixed_points(B, rng):
@@ -336,6 +337,57 @@ class TestSharpBoundHArrays:
         modulus_bounds(dp, np.array([0.2, 0.5]))
         re_bounds(dp)
         assert calls == [(50,)]
+
+    @pytest.mark.parametrize("beta, xs", [
+        # Short series and Pfaff points, a series past the loop (0.89, summed
+        # in numpy blocks alone) and the expansion next to the circle.
+        (1.0, [0.5, 0.89, 0.88j, 0.9999 * cmath.exp(0.3j), 0.2 - 0.1j, -0.7 + 0.3j,
+               -0.89, 0.99, 0.3j]),
+        # At beta = 100 next to the circle the series raises; the array stops there.
+        (100.0, [0.5, 0.89, 0.9999 * cmath.exp(0.3j), 0.99999 * cmath.exp(0.5j), 0.1j]),
+    ])
+    def test_f21_lerch_all_leaves_to_f21_lerch_what_one_block_does_not_sum(
+            self, beta, xs, monkeypatch):
+        # One _in_block call sums the first SCALAR_TERMS terms of every point
+        # away from the circle; each point it leaves is an f21_lerch call of
+        # its own, in input order, up to the first that raises.
+        from struveops import hypergeom, series
+
+        blocks, scalar, inside = [], [], []
+        in_block, lerch = series._in_block, hypergeom.f21_lerch
+
+        def counted_block(r, *args):
+            if not inside:  # not the blocks of a scalar call
+                blocks.append(r.shape)
+            return in_block(r, *args)
+
+        def counted_lerch(beta, x, tol=1e-13):
+            scalar.append(x)
+            inside.append(x)
+            try:
+                return lerch(beta, x, tol)
+            finally:
+                inside.pop()
+
+        outcomes = [outcome(lerch, beta, x) for x in xs]
+        routes = [route(beta, x) if len(o) == 3 else "raises" for x, o in zip(xs, outcomes)]
+        raising = "raises" in routes
+        assert "blocks" in routes and ("expansion" in routes or raising)
+        left = [r in ("blocks", "expansion", "raises") for r in routes]
+        assert all(int(o[2]) <= series.SCALAR_TERMS + 1 for o, l in zip(outcomes, left) if not l)
+        stop = routes.index("raises") + 1 if raising else len(xs)
+        near = [hypergeom._near_circle(abs(x), abs(x - 1.0)) for x in xs]
+        monkeypatch.setattr(series, "_in_block", counted_block)
+        monkeypatch.setattr(hypergeom, "f21_lerch", counted_lerch)
+        try:
+            got = hypergeom.f21_lerch_all(beta, np.array(xs))
+        except NumericsError as exc:
+            assert (type(exc).__name__, str(exc)) == outcomes[stop - 1]
+        else:
+            assert not raising
+            assert list(zip(*([repr(v) for v in a.tolist()] for a in got))) == outcomes
+        assert blocks == [(near.count(False), series.SCALAR_TERMS)]
+        assert scalar == [x for x, l in zip(xs[:stop], left) if l]
 
     def test_shape_kept(self):
         dp = dominant(0.7, -0.4, 1.3)

@@ -18,7 +18,7 @@ from struveops import (
     f21_series,
     series,
 )
-from struveops.hypergeom import LERCH_AT, LERCH_REACH, f21_euler_all
+from struveops.hypergeom import LERCH_AT, LERCH_REACH, f21_euler_all, f21_lerch_all
 
 
 def log_form(z):
@@ -224,6 +224,17 @@ class TestLerch:
     def test_cut_rejected(self, x):
         with pytest.raises(DomainError):
             f21_lerch(1.0, x)
+
+    @pytest.mark.parametrize("x", [complex(-math.inf, 0.0), complex(math.inf, 0.0),
+                                   complex(math.nan, 0.0), 1.0])
+    def test_array_raises_the_scalar_error(self, x):
+        # Pfaff's w = x/(x - 1) is NaN at x = -inf: the array leaves that
+        # point, like every point it does not sum, to its scalar call.
+        with pytest.raises(DomainError) as scalar:
+            f21_lerch(1.0, x)
+        with pytest.raises(DomainError) as array:
+            f21_lerch_all(1.0, np.array([0.1, x]))
+        assert str(array.value) == str(scalar.value)
 
     @pytest.mark.parametrize("beta", [-1.0, -2.0, math.inf, math.nan])
     def test_beta_rejected(self, beta):
