@@ -127,8 +127,12 @@ def parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
+#: ``json.dumps(obj, sort_keys=True)`` builds this encoder anew for every record.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_ENCODER.encode(obj))
 
 
 def _struve(args: argparse.Namespace) -> StruveParams:

@@ -48,6 +48,12 @@ LERCH_T = 2.0
 LERCH_AT = 6.0
 #: Most terms of the expansion.
 LERCH_TERMS = 64
+#: Most points ``f21_lerch_all`` evaluates in one pass: more are taken in
+#: input-order chunks of this many.  A pass peaks at about 4.9 kB a point
+#: (tracemalloc, 256 to 20,000 points; 5.4 kB at 64), most of it
+#: ``ratio_sum_all``'s arrays of 64 terms, so a chunk stays near 1.3 MB; the
+#: cost a point is flat from 64 points on.
+LERCH_CHUNK = 256
 #: Radii below 2 pi of the circles on which Cauchy's estimate bounds B_r(a)/r!.
 _LERCH_RHO = tuple(math.pi * m for m in (1.0, 1.25, 1.5, 1.75))
 
@@ -339,9 +345,14 @@ def f21_lerch_all(beta: float, x: np.ndarray, tol: float = 1e-13
     rounds them; Pfaff's argument and factor are formed per point, as
     ``f21_pfaff`` forms them.  Every other point, a longer sum or a failure
     among them, is its own ``f21_lerch`` call, in input order, so the first
-    failing point raises its scalar error.
+    failing point raises its scalar error.  More than ``LERCH_CHUNK`` points
+    are taken in chunks of that many, which bounds the memory a call takes.
     """
     beta = _lerch_beta(beta)
+    if x.size > LERCH_CHUNK:
+        parts = [f21_lerch_all(beta, x[i:i + LERCH_CHUNK], tol)
+                 for i in range(0, x.size, LERCH_CHUNK)]
+        return tuple(np.concatenate(v) for v in zip(*parts))
     hp = HypergeomParams(1.0, beta + 1.0, beta + 2.0)
     a, c = hp.b.real, hp.c.real
     r, r1 = np.hypot(x.real, x.imag), np.hypot(x.real - 1.0, x.imag)

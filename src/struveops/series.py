@@ -71,8 +71,7 @@ class PowerSeries:
 
     def is_normalized(self) -> bool:
         """True when the series is ``z + a2 z^2 + ...`` to within 1e-12."""
-        c = self.coeffs
-        return self.order >= 1 and bool(abs(c[0]) <= 1e-12 and abs(c[1] - 1.0) <= 1e-12)
+        return bool(normalized_rows(self.coeffs))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "PowerSeries":
@@ -87,6 +86,14 @@ class PowerSeries:
     def identity(cls, order: int) -> "PowerSeries":
         """The function ``z`` padded with zeros up to ``order``."""
         return cls(np.arange(order + 1) == 1)
+
+
+def normalized_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Whether each row of coefficients ``c0..cN`` in a stack of them (or the
+    one row of a 1-D array) is ``z + a2 z^2 + ...`` to within 1e-12."""
+    if coeffs.shape[-1] < 2:
+        return np.zeros(coeffs.shape[:-1], dtype=bool)
+    return (abs(coeffs[..., 0]) <= 1e-12) & (abs(coeffs[..., 1] - 1.0) <= 1e-12)
 
 
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:

@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -198,10 +199,11 @@ class StruveParams:
         return StruveParams(self.p + 1, self.b, self.c)
 
 
-def _growth(k: complex, n: int | np.ndarray) -> complex | np.ndarray:
-    """``(n + 1/2)(k + n - 1)``, ``n`` an int or an integer array: ``(3/2)_n (k)_n`` over
-    its value at ``n - 1``.  The integer ``n - 1`` is formed first, so ``k`` is kept:
-    it is 0 only at a pole of ``G(k)``, never for ``k`` within rounding of one."""
+def _growth(k: complex | np.ndarray, n: int | np.ndarray) -> complex | np.ndarray:
+    """``(n + 1/2)(k + n - 1)``, ``n`` an int or an integer array and ``k`` a complex
+    or a column of them: ``(3/2)_n (k)_n`` over its value at ``n - 1``.  The integer
+    ``n - 1`` is formed first, so ``k`` is kept: it is 0 only at a pole of ``G(k)``,
+    never for ``k`` within rounding of one."""
     return (n + 0.5) * (k + (n - 1))
 
 
@@ -259,27 +261,43 @@ def normalized_n_series(params: StruveParams, order: int = 64) -> PowerSeries:
     evaluated at z it equals
     ``2^p sqrt(pi) G(k) z^(-(p+1)/2) M(sqrt z)`` (principal branches).
     """
+    return PowerSeries(kernel_rows([params], order)[0])
+
+
+def kernel_rows(params: Sequence[StruveParams], order: int) -> np.ndarray:
+    """``normalized_n_series``'s coefficients for each parameter set, one row
+    per set: running products of the ratios ``(-c/4) / _growth(k, n)``, with
+    each set's ``k`` and ``-c/4`` formed as for that set alone."""
     if order < 1:
         raise ParameterError("order must be >= 1")
-    ratios = (-params.c / 4.0) / _growth(params.k, np.arange(1, order + 1))
-    return PowerSeries(np.cumprod(np.append(1, ratios)))
+    k = np.array([sp.k for sp in params], dtype=complex)[:, None]
+    x = np.array([-sp.c / 4.0 for sp in params], dtype=complex)[:, None]
+    rows = np.ones((len(params), order + 1), dtype=complex)
+    rows[:, 1:] = x / _growth(k, np.arange(1, order + 1))
+    return np.multiply.accumulate(rows, axis=1, out=rows)
 
 
-def ode_residual_n(params: StruveParams, order: int = 32) -> float:
+def ode_residual_n(params: StruveParams | Sequence[StruveParams], order: int = 32
+                   ) -> float | np.ndarray:
     """Max coefficientwise residual of the second-order ODE the normalized
     series satisfies:
 
         [4n(n-1) + 2(2p+b+3)n + (2p+b)] A_n + c A_{n-1} - (2p+b) [n=0]
 
     over ``n = 0 .. order-1``.  Zero (to rounding) certifies the coefficient
-    recurrence.
+    recurrence.  Given a sequence of parameter sets, it returns an array of
+    their residuals, each with the bits of its own call.
     """
+    if isinstance(params, StruveParams):
+        return float(ode_residual_n([params], order)[0])
     if order < 2:
         raise ParameterError("order must be >= 2")
-    a = normalized_n_series(params, order).coeffs
-    two_p_b = 2.0 * params.p + params.b
+    a = kernel_rows(params, order)
+    two_p_b = [2.0 * sp.p + sp.b for sp in params]
+    tpb, lin, c = (np.array(v, dtype=complex)[:, None] for v in
+                   (two_p_b, [2.0 * (t + 3.0) for t in two_p_b], [sp.c for sp in params]))
     n = np.arange(order)
-    r = (4.0 * n * (n - 1) + 2.0 * (two_p_b + 3.0) * n + two_p_b) * a[:-1]
-    r[1:] += params.c * a[:-2]
-    r[0] -= two_p_b
-    return float(np.abs(r).max())
+    r = (4.0 * n * (n - 1) + lin * n + tpb) * a[:, :-1]
+    r[:, 1:] += c * a[:, :-2]
+    r[:, 0] -= tpb[:, 0]
+    return np.abs(r).max(axis=1)

@@ -24,6 +24,7 @@ Suite names, default trial counts and default tolerances:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, Optional
 
@@ -47,8 +48,38 @@ from .series import PowerSeries
 from .specialfn import StruveParams, is_nonpositive_integer, ode_residual_n
 
 
+@functools.lru_cache(maxsize=256)
+def _seed_words(seed: int, *stream: int) -> np.ndarray:
+    """The 4 words ``default_rng([seed, *stream])`` seeds its PCG64 with, read-only.
+
+    Hashing them costs most of a generator's build; ``verify --suite all``
+    draws from 201 streams, 471 times.
+    """
+    words = np.random.SeedSequence([seed, *stream]).generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _stored_seed() -> type:
+    """A numpy ``ISeedSequence`` that hands PCG64 stored words.  It is defined
+    on first use: ``numpy.random`` takes 10-18 ms to import, which the CLI's
+    other commands do not need."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StoredSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for 4 uint64 words
+
+    return StoredSeed
+
+
 def _rng(seed: int, *stream: int) -> np.random.Generator:
-    return np.random.default_rng([seed, *stream])
+    """A new generator in the state ``np.random.default_rng([seed, *stream])`` starts in."""
+    return np.random.Generator(np.random.PCG64(_stored_seed()(_seed_words(seed, *stream))))
 
 
 def _record(suite: str, check: str, passed: bool, **extra) -> dict:
@@ -112,29 +143,24 @@ def _random_target(rng: np.random.Generator, b_low: float = -0.95,
 def run_recurrence(seed: int = 0, trials: int = 100, tol: float = 1e-12) -> list[dict]:
     """Coefficient residual of ``z(S_{k+1}f)' = k S_k f - (k-1) S_{k+1} f``."""
     params = [_random_struve_params(_rng(seed, 1, i)) for i in range(20)]
-    records = []
-    for i in range(trials):
-        f = _random_normalized_series(_rng(seed, 2, i), order=32)
-        sp = params[i % len(params)]
-        value = recurrence_residual(sp, f)
-        records.append(
-            _record("recurrence", f"trial-{i:03d}", value <= tol,
+    sets = [params[i % len(params)] for i in range(trials)]
+    order = 32
+    # One row a trial, filled as it is drawn, so the series are not all held at once.
+    fs = np.fromiter((_random_normalized_series(_rng(seed, 2, i), order).coeffs
+                      for i in range(trials)), dtype=(complex, order + 1), count=trials)
+    values = recurrence_residual(sets, fs).tolist()
+    return [_record("recurrence", f"trial-{i:03d}", value <= tol,
                     value=value, tol=tol, params=_params(sp))
-        )
-    return records
+            for i, (sp, value) in enumerate(zip(sets, values))]
 
 
 def run_ode(seed: int = 0, trials: int = 100, tol: float = 1e-10) -> list[dict]:
     """Coefficientwise ODE residual of the normalized kernel series."""
-    records = []
-    for i in range(trials):
-        sp = _random_struve_params(_rng(seed, 1, i))
-        value = ode_residual_n(sp, 32)
-        records.append(
-            _record("ode", f"trial-{i:03d}", value <= tol,
+    sets = [_random_struve_params(_rng(seed, 1, i)) for i in range(trials)]
+    values = ode_residual_n(sets, 32).tolist()
+    return [_record("ode", f"trial-{i:03d}", value <= tol,
                     value=value, tol=tol, params=_params(sp))
-        )
-    return records
+            for i, (sp, value) in enumerate(zip(sets, values))]
 
 
 def _random_hypergeom_case(rng: np.random.Generator):

@@ -648,6 +648,25 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.skipif(
+        np.__version__ != "2.4.6",
+        reason="the pinned digest was recorded with numpy 2.4.6",
+    )
+    def test_seed_one_digest_holds_with_seed_words_cached(self, capsys):
+        # Each stream's seed words are cached: a replay after other seeds and
+        # suites, which evict some of seed 1's streams and draw from others,
+        # prints the same bytes as the first.
+        digest = "29a91d1b75fdaea40e9a47501862938453c740c2ed8d85a3a1e2185fd768720c"
+        runs = [("all", "1", None), ("ode", "2", "300"), ("recurrence", "1", "30"),
+                ("all", "5", None), ("dominant", "1", "2"), ("all", "1", None)]
+        digests = []
+        for suite, seed, trials in runs:
+            extra = ("--trials", trials) if trials else ()
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", seed, *extra)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert digests[0] == digests[-1] == digest
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "nonsense"])

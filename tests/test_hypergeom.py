@@ -18,7 +18,8 @@ from struveops import (
     f21_series,
     series,
 )
-from struveops.hypergeom import LERCH_AT, LERCH_REACH, f21_euler_all, f21_lerch_all
+from struveops import hypergeom
+from struveops.hypergeom import LERCH_AT, LERCH_CHUNK, LERCH_REACH, f21_euler_all, f21_lerch_all
 
 
 def log_form(z):
@@ -240,6 +241,51 @@ class TestLerch:
     def test_beta_rejected(self, beta):
         with pytest.raises(ParameterError):
             f21_lerch(beta, 0.99)
+
+
+class TestLerchChunks:
+    """``f21_lerch_all`` takes more than ``LERCH_CHUNK`` points in input-order
+    chunks of that many."""
+
+    def test_chunk_boundaries_match_scalar_calls_repr_for_repr(self, monkeypatch):
+        # Short series, Pfaff, series past the loop and the expansion next to
+        # the circle, on both sides of two chunk boundaries.
+        rng = np.random.default_rng(2718)
+        n = 2 * LERCH_CHUNK + 5
+        r = 1.0 - 10.0 ** -rng.uniform(0.05, 3.0, n)
+        x = r * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        sizes = []
+        ratio_sum_all = hypergeom.ratio_sum_all
+
+        def counted(first, ratio, rho, tol):
+            sizes.append(rho.size)
+            return ratio_sum_all(first, ratio, rho, tol)
+
+        monkeypatch.setattr(hypergeom, "ratio_sum_all", counted)
+        for beta in (0.3, 1.7):
+            sizes.clear()
+            got = f21_lerch_all(beta, x)
+            assert len(sizes) == 3 and max(sizes) <= LERCH_CHUNK
+            assert list(zip(*([repr(v) for v in a.tolist()] for a in got))) == [
+                tuple(map(repr, f21_lerch(beta, z))) for z in x.tolist()]
+
+    def test_memory_stays_within_a_chunk(self):
+        # One pass peaks at about 4.9 kB a point: 20,000 points in one took
+        # 98 MB.  Chunked, the peak is one chunk's budget, taken here as
+        # 5.5 kB a point, plus 64 bytes a point of results and their concatenation.
+        import tracemalloc
+
+        rng = np.random.default_rng(1414)
+        n = 20_000
+        x = rng.uniform(0.05, 0.7, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        f21_lerch_all(1.3, x[:LERCH_CHUNK])  # tables built on first use
+        tracemalloc.start()
+        try:
+            f21_lerch_all(1.3, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= LERCH_CHUNK * 5_500 + 64 * n
 
 
 def symmetry_gap(hp, z):

@@ -207,3 +207,31 @@ def test_recurrence_residual_matches_the_scalar_loop(order):
         f = random_normalized(rng, order)
         worst, scale = scalar_recurrence_residual(sp, f)
         assert abs(recurrence_residual(sp, f) - worst) <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 32])
+def test_batched_recurrence_residual_is_the_per_set_calls(order):
+    # One array pass over many sets has the bits of a call per set, a single
+    # row included; a NaN coefficient spoils its own row only.
+    rng = np.random.default_rng([53, order])
+    sets = [random_params(rng) for _ in range(40)]
+    stack = np.array([random_normalized(rng, order).coeffs for _ in sets])
+    if order >= 2:
+        stack[7, -1] = complex("nan")
+    got = recurrence_residual(sets, stack)
+    expected = [recurrence_residual(sp, PowerSeries(row)) for sp, row in zip(sets, stack)]
+    assert got.shape == (len(sets),)
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in expected]
+    assert np.isnan(got).tolist() == [order >= 2 and i == 7 for i in range(len(sets))]
+    assert [repr(v) for v in recurrence_residual(sets[:1], stack[:1]).tolist()] == [repr(expected[0])]
+
+
+def test_batched_recurrence_residual_rejects_a_row_that_is_not_normalized():
+    rng = np.random.default_rng(59)
+    sets = [random_params(rng) for _ in range(3)]
+    stack = np.array([random_normalized(rng, 8).coeffs for _ in sets])
+    stack[2, 1] = 1.5
+    with pytest.raises(ParameterError, match="normalized"):
+        recurrence_residual(sets, stack)
+    with pytest.raises(ParameterError, match="one row of coefficients per parameter set"):
+        recurrence_residual(sets, stack[:2])

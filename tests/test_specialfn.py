@@ -378,3 +378,20 @@ class TestAgainstTheScalarLoops:
             sp = seeded_params(rng)
             worst, scale = scalar_ode_residual_n(sp, order)
             assert abs(ode_residual_n(sp, order) - worst) <= 4 * EPS * scale
+
+
+@pytest.mark.parametrize("order", [2, 3, 7, 32])
+def test_batched_ode_residual_is_the_per_set_calls(order):
+    # One array pass over many sets has the bits of a call per set, a single
+    # row included.  At c = 1e300 the coefficients overflow from A_2 on: from
+    # order 3 that row, and only it, is NaN.
+    rng = np.random.default_rng([61, order])
+    sets = [seeded_params(rng) for _ in range(40)]
+    sets[7] = StruveParams(0.5, 1.0, 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ode_residual_n(sets, order)
+        expected = [ode_residual_n(sp, order) for sp in sets]
+    assert got.shape == (len(sets),)
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in expected]
+    assert np.isnan(got).tolist() == [order >= 3 and i == 7 for i in range(len(sets))]
+    assert [repr(v) for v in ode_residual_n(sets[:1], order).tolist()] == [repr(expected[0])]
